@@ -3,12 +3,13 @@
 #   1. start `moldable-svc` in the background on two listener shards
 #      with ephemeral ports,
 #   2. hit /healthz,
-#   3. POST a generated instance to /v1/solve and assert the answer is
-#      byte-identical to CLI `solve` on the same instance — once in the
-#      v1 shape, once requesting wire-format v2 placement rows (which
+#   3. POST a generated instance to /v1/solve and assert the answer
+#      equals CLI `solve` on the same instance as a whole body — once in
+#      the v1 shape, once requesting wire-format v2 placement rows (which
 #      are also validated structurally: disjoint, sized, in range), and
 #      once in the v3 topology shape (packed policy on a 4x2x32
-#      hierarchy; every job must stay inside one node),
+#      hierarchy; every job must stay inside one node) — and that
+#      /v1/race equals CLI `race --place`,
 #   4. cache consistency: POST the same body twice and assert the
 #      responses are byte-identical and /metrics counted a cache hit,
 #   5. wire-format v4 admission: an over-quota tenant-tagged solve gets
@@ -72,6 +73,24 @@ $BIN/moldable solve --input /tmp/svc_inst.json --algo linear --eps 1/4 \
     --topology "4*2*32" --policy packed > /tmp/cli_topo.json
 python3 ci/solve_parity.py "$ADDR" /tmp/svc_inst.json /tmp/cli_topo.json \
     --algo linear --eps 1/4 --topology "4*2*32" --policy packed --max-level-span node:1
+
+# Race parity: CLI `race --place` prints the /v1/race body. Race rows do
+# not depend on the worker count, so the whole bodies must be equal.
+$BIN/moldable race --input /tmp/svc_inst.json --eps 1/4 --place > /tmp/cli_race.json
+python3 - "$ADDR" <<'EOF'
+import json, sys, urllib.request
+addr = sys.argv[1]
+inst = json.load(open("/tmp/svc_inst.json"))
+body = json.dumps({"instance": inst, "eps": "1/4", "placements": True}).encode()
+req = urllib.request.Request(f"http://{addr}/v1/race", data=body, method="POST")
+with urllib.request.urlopen(req, timeout=60) as resp:
+    svc = json.load(resp)
+cli = json.load(open("/tmp/cli_race.json"))
+differing = sorted(k for k in set(svc) | set(cli) if svc.get(k) != cli.get(k))
+assert not differing, f"CLI race differs from /v1/race in {differing}"
+assert svc["all_bounds_hold"], "a solver exceeded its proven bound"
+print(f"race parity ok: whole body equal, {len(svc['results'])} solver rows")
+EOF
 
 # Cache consistency: the same body served twice must be byte-identical,
 # and /metrics must show the repeat was answered from the cache.

@@ -2,9 +2,10 @@
 """Service/CLI parity check for the CI smoke.
 
 Builds a `/v1/solve` body from an instance file, POSTs it to a running
-`moldable-svc`, and asserts the service's answer matches the CLI `solve`
-output for the same instance/algo/eps: identical makespan (byte-for-byte
-on the serialized token) and identical assignment rows.
+`moldable-svc`, and asserts the service's answer equals the CLI `solve`
+output for the same instance/algo/eps: the parsed bodies are equal as a
+whole (the CLI pretty-prints the service body), and the serialized
+makespan token is byte-identical.
 
 With --placements, the request asks for wire-format v2 placement rows
 (the body gains `"placements": true`, the CLI run must have used
@@ -15,10 +16,9 @@ within [0, m), and no two jobs overlapping in time share a processor.
 With --topology SPEC (plus optional --policy P), the request carries
 the wire-format v3 topology fields (the CLI run must have used the same
 --topology/--policy flags), the expected schema becomes 3, and the
-placements/topology/policy/fragmentation fields must match the CLI
-output exactly. --max-level-span LEVEL:N additionally bounds every
-placement row's locality at LEVEL (e.g. `node:1` asserts a packed
-placement never crosses a node).
+placements are validated the same way. --max-level-span LEVEL:N
+additionally bounds every placement row's locality at LEVEL (e.g.
+`node:1` asserts a packed placement never crosses a node).
 
 Usage: python3 ci/solve_parity.py ADDR INSTANCE.json CLI_SOLVE_OUTPUT.json
        [--algo linear] [--eps 1/4] [--placements]
@@ -109,35 +109,26 @@ def main():
     svc_token, cli_token = makespan_token(svc_text), makespan_token(cli_text)
     assert svc_token == cli_token, \
         f"serialized makespans differ: service {svc_token} vs CLI {cli_token}"
-    assert svc["makespan"] == cli["makespan"]
-    assert svc["assignments"] == cli["assignments"], "assignment rows differ"
-    assert svc["probes"] == cli["probes"], \
-        f"probe counts differ: {svc['probes']} vs {cli['probes']}"
+    differing = sorted(k for k in set(svc) | set(cli) if svc.get(k) != cli.get(k))
+    assert not differing, f"CLI output differs from the service reply in {differing}"
     expected_schema = 3 if args.topology else 2
     assert svc["schema"] == expected_schema, f"unexpected schema: {svc.get('schema')}"
-    if args.topology:
-        for field in ("placements", "topology", "policy", "fragmentation"):
-            assert svc[field] == cli[field], f"v3 `{field}` differs between CLI and service"
+    if args.topology or args.placements:
         check_placements(svc, instance["m"])
-        if args.max_level_span:
-            level, bound = args.max_level_span.rsplit(":", 1)
-            bound = int(bound)
-            for row in svc["placements"]:
-                span = row["locality"][level]
-                assert span <= bound, \
-                    f"job {row['job']} spans {span} {level} blocks (bound {bound})"
-            print(f"locality ok: every placement within {bound} {level} block(s)")
-        print(f"topology parity ok: schema 3, policy {svc['policy']}, "
-              f"{len(svc['placements'])} placed rows match the CLI byte-for-byte")
-    elif args.placements:
-        assert svc["placements"] == cli["placements"], "placement rows differ"
-        check_placements(svc, instance["m"])
-        print(f"placement parity ok: {len(svc['placements'])} rows validated "
+        print(f"placements ok: {len(svc['placements'])} rows validated "
               f"(disjoint, sized, in range)")
     else:
         assert "placements" not in svc, "placements present without being requested"
-    print(f"parity ok: makespan {svc_token}, {len(svc['assignments'])} assignments, "
-          f"{svc['probes']} probes (algo {args.algo}, eps {args.eps})")
+    if args.max_level_span:
+        level, bound = args.max_level_span.rsplit(":", 1)
+        bound = int(bound)
+        for row in svc["placements"]:
+            span = row["locality"][level]
+            assert span <= bound, \
+                f"job {row['job']} spans {span} {level} blocks (bound {bound})"
+        print(f"locality ok: every placement within {bound} {level} block(s)")
+    print(f"parity ok: whole body equal, makespan {svc_token}, "
+          f"{len(svc['assignments'])} assignments (algo {args.algo}, eps {args.eps})")
     return 0
 
 

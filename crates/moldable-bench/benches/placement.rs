@@ -1,11 +1,10 @@
-//! The placement layer under load: `SlotSet` claim/release churn at
-//! 10⁵ operations (the timeline's split/subtract/union/coalesce hot
-//! path), the `place_contiguous` lowering pass over a 10⁵-job
-//! linear-solver schedule — the cost of turning allotments into
-//! concrete processor sets, which `/v1/solve` pays per request when a
-//! client asks for `"placements": true` — and the hierarchical lowering
-//! of the same scale onto a 64 nodes × 2 sockets × 32 cores topology
-//! under each `PlacementPolicy` (the wire-format v3 `topology` path).
+//! The placement layer under load: the `place_contiguous` lowering pass
+//! over a 10⁵-job linear-solver schedule — the cost of turning
+//! allotments into concrete processor sets, which `/v1/solve` pays per
+//! request when a client asks for `"placements": true` — and the
+//! hierarchical lowering of the same scale onto a 64 nodes × 2 sockets
+//! × 32 cores topology under each `PlacementPolicy` (the wire-format v3
+//! `topology` path).
 //!
 //! All rows are tracked by the CI perf-regression gate
 //! (`ci/bench_gate.py` against `benches/baseline.json`); the gate's
@@ -15,48 +14,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::hierarchy::Topology;
-use moldable_core::procset::ProcSet;
 use moldable_core::ratio::Ratio;
-use moldable_core::slotset::SlotSet;
 use moldable_core::view::JobView;
 use moldable_sched::place::{place_contiguous, place_with};
 use moldable_sched::policy::PlacementPolicy;
 use moldable_sched::solver::solver_by_name;
 use moldable_workloads::{bench_instance, BenchFamily};
-use std::collections::VecDeque;
-
-/// Deterministic claim/release churn: `n` operations against one
-/// timeline on `m` machines, with a bounded in-flight window so the
-/// slot list keeps splitting and coalescing instead of only growing.
-fn slotset_churn(n: usize, m: u64) -> SlotSet {
-    let mut timeline = SlotSet::new(m);
-    let mut in_flight: VecDeque<(Ratio, Ratio, ProcSet)> = VecDeque::new();
-    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    for i in 0..n {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        // Sliding start keeps ~8 jobs arriving per time unit.
-        let start = Ratio::from(i as u64 / 8);
-        let end = start.add(&Ratio::from(1 + seed % 32));
-        let width = 1 + (seed >> 8) % 16;
-        let free = timeline.free_over(&start, &end);
-        if free.size() >= width {
-            let procs = free.take_first(width).expect("size checked");
-            let claimed = timeline.claim(&start, &end, &procs);
-            assert!(claimed, "free_over offered a busy set");
-            in_flight.push_back((start, end, procs));
-        }
-        if in_flight.len() > 64 {
-            let (s, e, p) = in_flight.pop_front().expect("len checked");
-            timeline.release(&s, &e, &p);
-        }
-    }
-    for (s, e, p) in in_flight {
-        timeline.release(&s, &e, &p);
-    }
-    timeline
-}
 
 fn bench_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("placement");
@@ -64,15 +27,6 @@ fn bench_placement(c: &mut Criterion) {
 
     let n = 100_000usize;
     let m = 256u64;
-
-    group.bench_function(BenchmarkId::new("slotset-churn", n), |b| {
-        b.iter(|| {
-            let timeline = slotset_churn(n, m);
-            // Fully released ⇒ coalesced back to one free slot.
-            assert_eq!(timeline.len(), 1);
-            timeline
-        })
-    });
 
     // Lowering a real 10⁵-job schedule: solve once outside the timer,
     // re-run only the assignments → processor-sets pass inside it.

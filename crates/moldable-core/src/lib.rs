@@ -17,8 +17,8 @@
 //! * flat struct-of-arrays instance snapshots serving `t_j(p)` and
 //!   `γ_j(t)` as oracle-free array lookups ([`view`]),
 //! * the placement substrate: interval sets of processor indices
-//!   ([`procset`]), the free-processor timeline ([`slotset`]), the
-//!   `job → (interval, processor set)` layer with its validator
+//!   ([`procset`]), the `job → (interval, processor set)` layer with its
+//!   validator
 //!   ([`placement`]), and the machine-as-a-tree model with hierarchical
 //!   claiming and fragmentation metrics ([`hierarchy`]).
 
@@ -40,7 +40,6 @@ pub mod oracle;
 pub mod placement;
 pub mod procset;
 pub mod ratio;
-pub mod slotset;
 pub mod speedup;
 pub mod types;
 pub mod view;
@@ -59,7 +58,6 @@ pub use placement::{
 };
 pub use procset::ProcSet;
 pub use ratio::Ratio;
-pub use slotset::{Slot, SlotSet};
 pub use speedup::{monotone_closure, SpeedupCurve, SpeedupModel, Staircase};
 pub use types::{JobId, Procs, Time, Work};
 pub use view::JobView;

@@ -81,11 +81,7 @@ pub fn place_with(
     // for in-flight jobs. Placing in start order, every placed job
     // overlapping the next window is already running at its start, so
     // the instantaneous free set *is* the free set over the whole
-    // window. This replaces a `SlotSet` walk that re-intersected every
-    // slot a window covered — quadratic in the number of concurrent
-    // jobs, which made the 64×2×32 (m = 4096) bench rows take minutes
-    // per pass; the sweep is one union per job end and one subtract per
-    // job start.
+    // window: one union per job end and one subtract per job start.
     let mut free = ProcSet::full(m);
     let mut running: BinaryHeap<Reverse<(Ratio, usize)>> = BinaryHeap::new();
     let mut placement = Placement::new();

@@ -90,12 +90,10 @@ pub struct StreamOptions {
     /// [`run_epochs`]: crate::arrivals::run_epochs
     pub max_batch: Option<usize>,
     /// Lower every epoch's schedule onto this processor hierarchy
-    /// (leaves must cover exactly `m`). The engine then carries one
-    /// [`SlotSet`] per epoch through [`place_with`] and folds a running
+    /// (leaves must cover exactly `m`). The engine then lowers each
+    /// epoch's batch through [`place_with`] and folds a running
     /// [`StreamFragmentation`] tally, so a million-job replay reports
     /// how locality degrades over time in `O(levels)` memory.
-    ///
-    /// [`SlotSet`]: moldable_core::slotset::SlotSet
     pub topology: Option<Topology>,
     /// Placement policy for the per-epoch lowering (ignored without a
     /// topology). Level indices refer to `topology`'s levels.
@@ -482,10 +480,9 @@ where
                 let view = JobView::build(&inst);
                 let mut schedule = solver.solve(&view, m).schedule;
                 if let Some(topology) = &opts.topology {
-                    // Fresh SlotSet per epoch inside `place_with`: the
-                    // machine is empty at every re-plan (the epoch
+                    // The machine is empty at every re-plan (the epoch
                     // discipline runs batches to completion), so each
-                    // batch is lowered on its own timeline and only the
+                    // batch is lowered on its own and only the
                     // fragmentation *trend* survives the epoch.
                     let placement = place_with(&view, &schedule, topology, &opts.policy)
                         .expect("planned batches lower onto the topology");

@@ -9,6 +9,13 @@
 //! responses are pure functions of the request body — the property the
 //! CI parity gate and the concurrent-client test both lean on.
 //!
+//! `POST /v1/solve` and `POST /v1/race` share one staged pipeline:
+//! parse → resolve the solver → admit → cache probe → [`solve_reply`] /
+//! [`race_reply`]. The CLI `solve` and `race` commands run the same
+//! public stages in the same order, so both front ends print one body,
+//! and every failure leaves the stage that raised it as a typed
+//! [`Failure`].
+//!
 //! | Endpoint | Body | Reply |
 //! |---|---|---|
 //! | `POST /v1/solve` | `{"instance": spec, "algo"?, "eps"?}` | one [`SolveOutcome`] |
@@ -21,7 +28,7 @@
 use crate::cache::ResponseCache;
 use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, ServiceMetrics};
-use crate::wire::{parse_solve_body, ErrorKind, SolveRequest};
+use crate::wire::{parse_solve_body, ErrorKind, Failure, SolveRequest};
 use moldable_core::hash::StableHasher;
 use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
@@ -32,9 +39,8 @@ use moldable_sched::batch;
 use moldable_sched::exact::{EXACT_M_LIMIT, EXACT_N_LIMIT};
 use moldable_sched::place::{place_contiguous, place_with};
 use moldable_sched::quotas::{Demand, QuotaEngine, QuotaSet, Tenant, Ticket};
-use moldable_sched::solver::{race_roster, solver_by_name, ExactSolver};
-use moldable_sched::validate;
-use moldable_sched::SOLVER_NAMES;
+use moldable_sched::solver::{race_roster, solver_by_name, ExactSolver, MakespanSolver};
+use moldable_sched::{validate, Schedule, SOLVER_NAMES};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -81,8 +87,8 @@ impl Default for AppConfig {
 pub struct App {
     config: AppConfig,
     metrics: Arc<ServiceMetrics>,
-    /// Every shard's metrics (including this one's), set by
-    /// [`App::shard_group`]; empty for a standalone app.
+    /// Every shard's metrics (including this one's), merged by
+    /// `GET /metrics`.
     peers: Vec<Arc<ServiceMetrics>>,
     cache: Option<Arc<ResponseCache>>,
     /// Exact-bytes front memo: endpoint tag + raw request body → served
@@ -98,11 +104,6 @@ pub struct App {
     /// *fleet's* concurrency, not one shard's.
     admission: Arc<Mutex<AdmissionState>>,
 }
-
-/// A handler failure: the typed error kind (which fixes the HTTP status)
-/// plus a detail message that travels verbatim into the
-/// `{"error": {"kind", "detail"}}` envelope.
-type Failure = (ErrorKind, String);
 
 /// Per-tenant admission counters surfaced under `/metrics`.
 #[derive(Clone, Debug, Default)]
@@ -189,29 +190,12 @@ fn body_hash(tag: u64, bytes: &[u8]) -> u128 {
 }
 
 impl App {
-    /// Build the application state.
+    /// Build the application state: the one member of a one-shard
+    /// [`App::shard_group`].
     pub fn new(config: AppConfig) -> App {
-        let cache = (config.cache_entries > 0).then(|| {
-            Arc::new(ResponseCache::new(
-                config.cache_entries,
-                config.cache_shards,
-            ))
-        });
-        let body_cache = (config.cache_entries > 0).then(|| {
-            Arc::new(ResponseCache::new(
-                config.cache_entries,
-                config.cache_shards,
-            ))
-        });
-        let admission = Arc::new(Mutex::new(AdmissionState::new(config.quotas.clone())));
-        App {
-            config,
-            metrics: Arc::new(ServiceMetrics::new()),
-            peers: Vec::new(),
-            cache,
-            body_cache,
-            admission,
-        }
+        App::shard_group(config, 1)
+            .pop()
+            .expect("a shard group has at least one member")
     }
 
     /// Build `shards` apps that serve as one fleet: each has its own
@@ -285,7 +269,7 @@ impl App {
         let (endpoint, result) = self.route(method, path, body);
         let response = match result {
             Ok(body) => Response::json(body),
-            Err((kind, detail)) => Response::error(kind, &detail),
+            Err(failure) => Response::error(failure.kind, &failure.detail),
         };
         self.metrics.record(endpoint, response.status, t0.elapsed());
         response
@@ -300,24 +284,27 @@ impl App {
         match (method, path) {
             ("POST", "/v1/solve") => (
                 Endpoint::Solve,
-                self.body_memoized(1, body, |body| self.handle_solve(body)),
+                self.body_memoized(1, body, |body| self.handle(Endpoint::Solve, body)),
             ),
             ("POST", "/v1/race") => (
                 Endpoint::Race,
-                self.body_memoized(2, body, |body| self.handle_race(body)),
+                self.body_memoized(2, body, |body| self.handle(Endpoint::Race, body)),
             ),
             ("GET", "/healthz") => (Endpoint::Healthz, Ok(serialize(&self.handle_healthz()))),
             ("GET", "/metrics") => (Endpoint::Metrics, Ok(serialize(&self.handle_metrics()))),
             (_, "/v1/solve" | "/v1/race" | "/healthz" | "/metrics") => (
                 Endpoint::Other,
-                Err((
+                Err(Failure::new(
                     ErrorKind::MethodNotAllowed,
                     format!("method {method} not allowed here"),
                 )),
             ),
             (_, path) => (
                 Endpoint::Other,
-                Err((ErrorKind::NotFound, format!("no route for {path}"))),
+                Err(Failure::new(
+                    ErrorKind::NotFound,
+                    format!("no route for {path}"),
+                )),
             ),
         }
     }
@@ -329,11 +316,7 @@ impl App {
     /// `GET /metrics`: the fleet-merged request metrics plus the shared
     /// cache's counters.
     fn handle_metrics(&self) -> Value {
-        let mut snap = if self.peers.is_empty() {
-            self.metrics.snapshot()
-        } else {
-            ServiceMetrics::snapshot_merged(self.peers.iter().map(Arc::as_ref))
-        };
+        let mut snap = ServiceMetrics::snapshot_merged(self.peers.iter().map(Arc::as_ref));
         let (hits, misses, evictions) = self
             .cache
             .as_ref()
@@ -445,44 +428,32 @@ impl App {
     }
 
     /// Run a parsed request through admission control. Tenant-free
-    /// requests bypass it entirely (`Ok(None)`). For tenant-tagged
-    /// requests the demand is the instance's `m` (processors), one job,
-    /// and `Σ tⱼ(1)` resource-seconds; it is checked against the
-    /// in-request rule set first (stateless — "would this request fit
-    /// these rules on an idle cluster"), then charged to the operator
-    /// engine (stateful — concurrency plus windowed history, shared
-    /// across the shard group). Either denial is a 429 carrying the
-    /// [`QuotaDenial`](moldable_sched::quotas::QuotaDenial) verbatim,
-    /// and charges nothing.
+    /// requests bypass it entirely (`Ok(None)`). A tenant-tagged request
+    /// passes [`check_own_quotas`] first, then its demand is charged to
+    /// the operator engine (stateful — concurrency plus windowed
+    /// history, shared across the shard group). Either denial is a 429
+    /// carrying the [`QuotaDenial`](moldable_sched::quotas::QuotaDenial)
+    /// verbatim, and charges nothing.
     fn admit(&self, sr: &SolveRequest, instance: &Instance) -> Result<Option<Ticket>, Failure> {
-        let tenant = match &sr.tenant {
-            None => return Ok(None),
-            Some(tenant) => tenant,
-        };
-        let demand = Demand {
-            procs: instance.m(),
-            jobs: 1,
-            resource_seconds: instance.jobs().iter().map(|j| u128::from(j.time(1))).sum(),
+        let Some(tenant) = &sr.tenant else {
+            return Ok(None);
         };
         let mut state = self.admission.lock().expect("admission lock poisoned");
         let now = state.tick();
-        let own_rules = match &sr.quotas {
-            None => Ok(()),
-            Some(set) => QuotaEngine::new(set.clone())
-                .admit(tenant, &demand, now)
-                .map(|_| ()),
-        };
-        let outcome = own_rules.and_then(|()| state.engine.admit(tenant, &demand, now));
+        let outcome = check_own_quotas(sr, instance, now).and_then(|demand| {
+            let ticket = state.engine.admit(tenant, &demand, now)?;
+            Ok((ticket, demand.resource_seconds))
+        });
         let counters = state.tenants.entry(tenant.to_string()).or_default();
         match outcome {
-            Ok(ticket) => {
+            Ok((ticket, resource_seconds)) => {
                 counters.admitted += 1;
-                counters.resource_seconds += demand.resource_seconds;
+                counters.resource_seconds += resource_seconds;
                 Ok(Some(ticket))
             }
             Err(denial) => {
                 counters.denied += 1;
-                Err((ErrorKind::QuotaDenied, denial.to_string()))
+                Err(denial)
             }
         }
     }
@@ -546,204 +517,33 @@ impl App {
         Ok(body)
     }
 
-    /// `POST /v1/solve`: one registry solver on one instance, through a
-    /// single shared [`JobView`] build — short-circuited by the
-    /// canonical-instance cache when an identical request was already
-    /// served. The second half of the return value tells
-    /// [`App::body_memoized`] whether the served bytes may enter the
-    /// exact-bytes memo (only tenant-free requests may — admission has
-    /// to run on every tagged repeat).
-    fn handle_solve(&self, body: &[u8]) -> Result<(String, bool), Failure> {
-        let (sr, instance) = parse_solve_body(body, &self.config.default_eps)
-            .map_err(|e| (ErrorKind::BadRequest, e))?;
-        // The error Display lists every registry name; surface verbatim.
-        let solver = solver_by_name(&sr.algo, &sr.eps)
-            .map_err(|e| (ErrorKind::UnknownSolver, e.to_string()))?;
+    /// `POST /v1/solve` and `POST /v1/race`, one staged pipeline: parse
+    /// the body, resolve `algo` (solve only — a race runs the whole
+    /// roster and ignores it), admit, then serve from the canonical
+    /// cache or build the reply with [`solve_reply`] / [`race_reply`].
+    /// The `bool` tells [`App::body_memoized`] whether the served bytes
+    /// may enter the exact-bytes memo: only tenant-free requests may,
+    /// since admission has to run on every tagged repeat.
+    fn handle(&self, endpoint: Endpoint, body: &[u8]) -> Result<(String, bool), Failure> {
+        let (sr, instance) =
+            parse_solve_body(body, &self.config.default_eps).map_err(Failure::bad_request)?;
+        let solver = match endpoint {
+            Endpoint::Solve => Some(solver_by_name(&sr.algo, &sr.eps)?),
+            _ => None,
+        };
         let _ticket = TicketGuard {
             app: self,
             ticket: self.admit(&sr, &instance)?,
         };
-        let key = self.cache_key(Endpoint::Solve, &sr, &instance);
+        let key = self.cache_key(endpoint, &sr, &instance);
         let served = self.cached(key, || {
-            let view = JobView::build(&instance);
-            if sr.algo == "exact" && !ExactSolver::fits(&view) {
-                // Mirrors the CLI `solve` guard: the exhaustive search would
-                // blow its branch-and-bound cap mid-request.
-                return Err((
-                    ErrorKind::BadRequest,
-                    format!(
-                        "instance too large for the exact solver (n ≤ {EXACT_N_LIMIT}, m ≤ {EXACT_M_LIMIT})"
-                    ),
-                ));
-            }
-            let mut outcome = solver.solve(&view, view.m());
-            if let Some(topology) = &sr.topology {
-                // A topology request re-lowers even solver-provided
-                // placements, so the policy is honored uniformly across
-                // the whole registry.
-                let placement = place_with(&view, &outcome.schedule, topology, &sr.policy)
-                    .map_err(|e| (ErrorKind::Placement, format!("placement failed: {e}")))?;
-                outcome.schedule.placement = Some(placement);
-            } else if sr.placements && outcome.schedule.placement.is_none() {
-                // Lower the allotment schedule onto concrete processors; the
-                // error Display travels verbatim (it only fires on a solver
-                // bug — any demand-feasible schedule lowers).
-                let placement = place_contiguous(&view, &outcome.schedule)
-                    .map_err(|e| (ErrorKind::Placement, format!("placement failed: {e}")))?;
-                outcome.schedule.placement = Some(placement);
-            }
-            validate(&outcome.schedule, &instance).map_err(|e| {
-                (
-                    ErrorKind::InvalidSchedule,
-                    format!("solver produced an invalid schedule: {e}"),
-                )
-            })?;
-            let mut reply = json!({
-                "schema": sr.schema(),
-                "algo": sr.algo,
-                "solver": solver.name(),
-                "n": instance.n(),
-                "m": instance.m(),
-                "eps": sr.eps.to_f64(),
-                "makespan": outcome.makespan.to_f64(),
-                "ratio_bound": outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-                "opt_lower_bound": outcome.lower_bound,
-                "probes": outcome.probes,
-                "assignments": assignment_rows(&instance, &outcome.schedule),
-            });
-            if sr.placements || sr.topology.is_some() {
-                let placement = outcome.schedule.placement.as_ref().expect("placed above");
-                push_field(
-                    &mut reply,
-                    "placements",
-                    placement_rows_on(placement, sr.topology.as_ref()),
-                );
-            }
-            if let Some(topology) = &sr.topology {
-                let placement = outcome.schedule.placement.as_ref().expect("placed above");
-                push_field(&mut reply, "topology", topology_rows(topology));
-                push_field(
-                    &mut reply,
-                    "policy",
-                    Value::String(sr.policy.label(topology)),
-                );
-                push_field(
-                    &mut reply,
-                    "fragmentation",
-                    fragmentation_summary(topology, placement),
-                );
-            }
-            if let Some(tenant) = &sr.tenant {
-                push_field(&mut reply, "tenant", tenant_echo(tenant));
-            }
+            let reply = match &solver {
+                Some(solver) => solve_reply(&sr, &instance, solver.as_ref())?,
+                None => race_reply(&sr, &instance, self.config.race_threads)?,
+            };
             Ok(serialize(&reply))
-        });
-        served.map(|served| (served, sr.tenant.is_none()))
-    }
-
-    /// `POST /v1/race`: the full applicable roster on one instance via
-    /// the batch engine, with the CLI `race --check` parity verdict.
-    /// Returns the served bytes plus the memoizability flag, exactly as
-    /// [`App::handle_solve`] does.
-    fn handle_race(&self, body: &[u8]) -> Result<(String, bool), Failure> {
-        let (sr, instance) = parse_solve_body(body, &self.config.default_eps)
-            .map_err(|e| (ErrorKind::BadRequest, e))?;
-        let _ticket = TicketGuard {
-            app: self,
-            ticket: self.admit(&sr, &instance)?,
-        };
-        let key = self.cache_key(Endpoint::Race, &sr, &instance);
-        let served = self.cached(key, || self.race_uncached(&sr, &instance));
-        served.map(|served| (served, sr.tenant.is_none()))
-    }
-
-    fn race_uncached(&self, sr: &SolveRequest, instance: &Instance) -> Result<String, Failure> {
-        let eps = sr.eps;
-        let view = JobView::build(instance);
-        let omega = moldable_sched::estimate_view(&view).omega;
-        let solvers = race_roster(&view, &eps);
-        let results = batch::race(&solvers, &view, self.config.race_threads);
-        let mut all_bounds_hold = true;
-        let rows: Vec<Value> = results
-            .iter()
-            .map(|r| {
-                let mut schedule = r.outcome.schedule.clone();
-                if let Some(topology) = &sr.topology {
-                    let placement = place_with(&view, &schedule, topology, &sr.policy)
-                        .map_err(|e| {
-                            (
-                                ErrorKind::Placement,
-                                format!("{}: placement failed: {e}", r.label),
-                            )
-                        })?;
-                    schedule.placement = Some(placement);
-                } else if sr.placements && schedule.placement.is_none() {
-                    let placement = place_contiguous(&view, &schedule).map_err(|e| {
-                        (
-                            ErrorKind::Placement,
-                            format!("{}: placement failed: {e}", r.label),
-                        )
-                    })?;
-                    schedule.placement = Some(placement);
-                }
-                validate(&schedule, instance).map_err(|e| {
-                    (
-                        ErrorKind::InvalidSchedule,
-                        format!("{}: solver produced an invalid schedule: {e}", r.label),
-                    )
-                })?;
-                let bound_ok = r.outcome.ratio_bound.as_ref().map(|b| {
-                    let holds = r.outcome.makespan <= b.mul_int(2 * omega as u128);
-                    all_bounds_hold &= holds;
-                    holds
-                });
-                let mut row = json!({
-                    "solver": r.label,
-                    "makespan": r.outcome.makespan.to_f64(),
-                    "ratio_bound": r.outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-                    "bound_holds_vs_2omega": bound_ok,
-                    "probes": r.outcome.probes,
-                });
-                if sr.placements || sr.topology.is_some() {
-                    let placement = schedule.placement.as_ref().expect("placed above");
-                    push_field(
-                        &mut row,
-                        "placements",
-                        placement_rows_on(placement, sr.topology.as_ref()),
-                    );
-                }
-                if let Some(topology) = &sr.topology {
-                    let placement = schedule.placement.as_ref().expect("placed above");
-                    push_field(
-                        &mut row,
-                        "fragmentation",
-                        fragmentation_summary(topology, placement),
-                    );
-                }
-                Ok(row)
-            })
-            .collect::<Result<_, Failure>>()?;
-        let mut reply = json!({
-            "schema": sr.schema(),
-            "n": instance.n(),
-            "m": instance.m(),
-            "eps": eps.to_f64(),
-            "omega": omega,
-            "all_bounds_hold": all_bounds_hold,
-        });
-        if let Some(topology) = &sr.topology {
-            push_field(&mut reply, "topology", topology_rows(topology));
-            push_field(
-                &mut reply,
-                "policy",
-                Value::String(sr.policy.label(topology)),
-            );
-        }
-        push_field(&mut reply, "results", Value::Array(rows));
-        if let Some(tenant) = &sr.tenant {
-            push_field(&mut reply, "tenant", tenant_echo(tenant));
-        }
-        Ok(serialize(&reply))
+        })?;
+        Ok((served, sr.tenant.is_none()))
     }
 }
 
@@ -753,9 +553,194 @@ fn contains_bytes(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
 
+/// The in-request quota check, shared by the service's admission and
+/// the CLI: a tenant-tagged request's demand — the instance's `m`
+/// processors, one job, and `Σ tⱼ(1)` resource-seconds — checked
+/// against the request's own `quotas`, when it carries any. The check is
+/// stateless ("would this request fit these rules on an idle cluster")
+/// and a denial is `quota-denied`. Returns the demand, which the service
+/// then charges to its operator engine.
+pub fn check_own_quotas(
+    sr: &SolveRequest,
+    instance: &Instance,
+    now: u64,
+) -> Result<Demand, Failure> {
+    let demand = Demand {
+        procs: instance.m(),
+        jobs: 1,
+        resource_seconds: instance.jobs().iter().map(|j| u128::from(j.time(1))).sum(),
+    };
+    if let (Some(tenant), Some(set)) = (&sr.tenant, &sr.quotas) {
+        QuotaEngine::new(set.clone()).admit(tenant, &demand, now)?;
+    }
+    Ok(demand)
+}
+
+/// The `/v1/solve` reply, which is also CLI `solve`'s output: one
+/// [`JobView`] build, `solver`'s schedule, the lowering stage (placement
+/// as requested — `placement` on failure — then validation,
+/// `invalid-schedule`), and the wire-format body. The exact solver is
+/// refused (`bad-request`) on instances beyond its branch-and-bound
+/// caps, which it would blow mid-request.
+pub fn solve_reply(
+    sr: &SolveRequest,
+    instance: &Instance,
+    solver: &dyn MakespanSolver,
+) -> Result<Value, Failure> {
+    let view = JobView::build(instance);
+    if sr.algo == "exact" && !ExactSolver::fits(&view) {
+        return Err(Failure::bad_request(format!(
+            "instance too large for the exact solver (n ≤ {EXACT_N_LIMIT}, m ≤ {EXACT_M_LIMIT})"
+        )));
+    }
+    let mut outcome = solver.solve(&view, view.m());
+    lower(sr, &view, instance, &mut outcome.schedule)?;
+    let mut reply = json!({
+        "schema": sr.schema(),
+        "algo": sr.algo,
+        "solver": solver.name(),
+        "n": instance.n(),
+        "m": instance.m(),
+        "eps": sr.eps.to_f64(),
+        "makespan": outcome.makespan.to_f64(),
+        "ratio_bound": outcome.ratio_bound.as_ref().map(Ratio::to_f64),
+        "opt_lower_bound": outcome.lower_bound,
+        "probes": outcome.probes,
+        "assignments": assignment_rows(instance, &outcome.schedule),
+    });
+    push_placements(&mut reply, sr, &outcome.schedule);
+    push_topology(&mut reply, sr);
+    push_fragmentation(&mut reply, sr, &outcome.schedule);
+    push_tenant(&mut reply, sr);
+    Ok(reply)
+}
+
+/// The `/v1/race` reply, which is also CLI `race`'s output: every
+/// applicable registry solver through the batch engine on `threads`
+/// workers (the rows do not depend on the count), each schedule through
+/// [`solve_reply`]'s lowering stage, plus the parity verdict.
+/// `all_bounds_hold` is false when some solver's makespan exceeds its
+/// proven ratio bound against the factor-2 estimator — makespan ≤
+/// bound · 2ω must hold, because OPT ≤ 2ω. A failing row's detail leads
+/// with its label.
+pub fn race_reply(
+    sr: &SolveRequest,
+    instance: &Instance,
+    threads: usize,
+) -> Result<Value, Failure> {
+    let view = JobView::build(instance);
+    let omega = moldable_sched::estimate_view(&view).omega;
+    let results = batch::race(&race_roster(&view, &sr.eps), &view, threads);
+    let mut all_bounds_hold = true;
+    let mut rows = Vec::with_capacity(results.len());
+    for mut r in results {
+        lower(sr, &view, instance, &mut r.outcome.schedule)
+            .map_err(|f| Failure::new(f.kind, format!("{}: {}", r.label, f.detail)))?;
+        let bound_ok = r
+            .outcome
+            .ratio_bound
+            .as_ref()
+            .map(|b| r.outcome.makespan <= b.mul_int(2 * omega as u128));
+        all_bounds_hold &= bound_ok != Some(false);
+        let mut row = json!({
+            "solver": r.label,
+            "makespan": r.outcome.makespan.to_f64(),
+            "ratio_bound": r.outcome.ratio_bound.as_ref().map(Ratio::to_f64),
+            "bound_holds_vs_2omega": bound_ok,
+            "probes": r.outcome.probes,
+        });
+        push_placements(&mut row, sr, &r.outcome.schedule);
+        push_fragmentation(&mut row, sr, &r.outcome.schedule);
+        rows.push(row);
+    }
+    let mut reply = json!({
+        "schema": sr.schema(),
+        "n": instance.n(),
+        "m": instance.m(),
+        "eps": sr.eps.to_f64(),
+        "omega": omega,
+        "all_bounds_hold": all_bounds_hold,
+    });
+    push_topology(&mut reply, sr);
+    push_field(&mut reply, "results", Value::Array(rows));
+    push_tenant(&mut reply, sr);
+    Ok(reply)
+}
+
+/// The lowering stage both replies share: place `schedule` onto
+/// processors as `sr` asks, then validate it against `instance`. A
+/// topology re-lowers even a solver's native placement through
+/// [`place_with`], so the policy holds uniformly across the registry;
+/// `placements` alone keeps a native placement (the `contiguous-73-50`
+/// layout) and lowers any other schedule through [`place_contiguous`].
+/// Both lowerings are total on demand-feasible schedules, so either
+/// failure means a solver bug.
+fn lower(
+    sr: &SolveRequest,
+    view: &JobView,
+    instance: &Instance,
+    schedule: &mut Schedule,
+) -> Result<(), Failure> {
+    let placement = match &sr.topology {
+        Some(topology) => Some(place_with(view, schedule, topology, &sr.policy)),
+        None if sr.placements && schedule.placement.is_none() => {
+            Some(place_contiguous(view, schedule))
+        }
+        None => None,
+    };
+    if let Some(placement) = placement {
+        let placement = placement.map_err(|e| {
+            Failure::new(ErrorKind::Placement, format!("placement failed: {e}"))
+        })?;
+        schedule.placement = Some(placement);
+    }
+    validate(schedule, instance).map_err(|e| {
+        Failure::new(
+            ErrorKind::InvalidSchedule,
+            format!("solver produced an invalid schedule: {e}"),
+        )
+    })
+}
+
+/// Append the `placements` rows when the request asked for them (a
+/// topology implies them).
+fn push_placements(reply: &mut Value, sr: &SolveRequest, schedule: &Schedule) {
+    if sr.placements || sr.topology.is_some() {
+        let placement = schedule.placement.as_ref().expect("lowered");
+        let rows = placement_rows_on(placement, sr.topology.as_ref());
+        push_field(reply, "placements", rows);
+    }
+}
+
+/// Append the v3 `topology` and `policy` echoes.
+fn push_topology(reply: &mut Value, sr: &SolveRequest) {
+    if let Some(topology) = &sr.topology {
+        push_field(reply, "topology", topology_rows(topology));
+        push_field(reply, "policy", Value::String(sr.policy.label(topology)));
+    }
+}
+
+/// Append the v3 `fragmentation` summary.
+fn push_fragmentation(reply: &mut Value, sr: &SolveRequest, schedule: &Schedule) {
+    if let Some(topology) = &sr.topology {
+        let placement = schedule.placement.as_ref().expect("lowered");
+        push_field(
+            reply,
+            "fragmentation",
+            fragmentation_summary(topology, placement),
+        );
+    }
+}
+
+/// Append the v4 `tenant` echo.
+fn push_tenant(reply: &mut Value, sr: &SolveRequest) {
+    if let Some(tenant) = &sr.tenant {
+        push_field(reply, "tenant", tenant_echo(tenant));
+    }
+}
+
 /// The wire-format v4 response echo of the request's tenant, with the
-/// defaulted parts made explicit. Public so the CLI front end appends
-/// byte-identical `tenant` blocks to its own replies.
+/// defaulted parts made explicit.
 pub fn tenant_echo(tenant: &Tenant) -> Value {
     json!({
         "user": tenant.user,
@@ -770,12 +755,12 @@ fn serialize(value: &Value) -> String {
     serde_json::to_string(value).expect("shim serialization is infallible")
 }
 
-/// Append one field to a JSON object (the shim's `Value::Object` keeps
-/// insertion order, so optional fields always serialize last).
-fn push_field(value: &mut Value, key: &str, field: Value) {
+/// Append one field to a JSON object reply (the shim's `Value::Object`
+/// keeps insertion order, so optional fields always serialize last).
+pub fn push_field(value: &mut Value, key: &str, field: Value) {
     match value {
         Value::Object(fields) => fields.push((key.to_string(), field)),
-        _ => unreachable!("handlers build object replies"),
+        _ => unreachable!("replies are built as objects"),
     }
 }
 
@@ -815,19 +800,13 @@ pub fn assignment_rows(inst: &Instance, s: &moldable_sched::Schedule) -> Value {
     )
 }
 
-/// Placement rows in the wire-format v2 shape — like [`assignment_rows`],
-/// the single serializer behind the service and the CLI `--place`
-/// output. Each row carries the exact rational interval (numerator/
-/// denominator strings, same convention as assignment starts) and the
-/// processor set as inclusive `[lo, hi]` ranges.
-pub fn placement_rows(placement: &Placement) -> Value {
-    placement_rows_on(placement, None)
-}
-
-/// [`placement_rows`] with the wire-format v3 extension: when a
-/// topology is given, each row gains a trailing `"locality"` object
-/// mapping every level name to the number of blocks the job's set
-/// spans there. Without one, the rows are byte-identical to v2.
+/// Placement rows — like [`assignment_rows`], the single serializer
+/// behind the service and the CLI `--place` output. Each row carries the
+/// exact rational interval (numerator/denominator strings, same
+/// convention as assignment starts) and the processor set as inclusive
+/// `[lo, hi]` ranges: the wire-format v2 shape. When a topology is given
+/// (v3), each row gains a trailing `"locality"` object mapping every
+/// level name to the number of blocks the job's set spans there.
 pub fn placement_rows_on(placement: &Placement, topology: Option<&Topology>) -> Value {
     Value::Array(
         placement
@@ -1390,5 +1369,43 @@ mod tests {
         let body = format!(r#"{{"instance": {INSTANCE}, "tenant": {{"user": "carol"}}}}"#);
         assert_eq!(app.respond(&post("/v1/solve", &body)).status, 200);
         assert_eq!(app.respond(&post("/v1/solve", &body)).status, 200);
+    }
+
+    /// Failure kinds are set where they are raised: a schedule that
+    /// overcommits the machines fails in the lowering when placements
+    /// are asked for (`place_contiguous` rejects overcommit), and in the
+    /// validator otherwise.
+    #[test]
+    fn overcommit_fails_with_the_kind_of_the_stage_that_catches_it() {
+        use moldable_sched::solver::SolveOutcome;
+        struct Overcommit;
+        impl MakespanSolver for Overcommit {
+            fn name(&self) -> &'static str {
+                "overcommit"
+            }
+            fn solve(&self, _view: &JobView, _m: u64) -> SolveOutcome {
+                // Two width-2 jobs at t = 0 on m = 3 processors.
+                let mut schedule = Schedule::new();
+                schedule.push(0, Ratio::zero(), 2);
+                schedule.push(1, Ratio::zero(), 2);
+                SolveOutcome {
+                    schedule,
+                    makespan: Ratio::from(4u64),
+                    ratio_bound: None,
+                    lower_bound: None,
+                    probes: 0,
+                }
+            }
+        }
+        let (mut sr, instance) = parse_solve_body(
+            br#"{"instance": {"m": 3, "jobs": [{"constant": 4}, {"constant": 4}]}}"#,
+            &Ratio::new(1, 4),
+        )
+        .unwrap();
+        let kind =
+            |sr: &SolveRequest| solve_reply(sr, &instance, &Overcommit).unwrap_err().kind;
+        assert_eq!(kind(&sr), ErrorKind::InvalidSchedule);
+        sr.placements = true;
+        assert_eq!(kind(&sr), ErrorKind::Placement);
     }
 }

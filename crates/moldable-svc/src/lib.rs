@@ -12,7 +12,8 @@
 //!
 //! * [`http`] — minimal HTTP/1.1 request/response framing (both sides).
 //! * [`app`] — the transport-free router: `POST /v1/solve`,
-//!   `POST /v1/race`, `GET /healthz`, `GET /metrics`.
+//!   `POST /v1/race`, `GET /healthz`, `GET /metrics`, plus the staged
+//!   solve/race pipeline the CLI runs too.
 //! * [`wire`] — the versioned wire format: the shared [`SolveRequest`]
 //!   (one struct parsed identically from CLI flags and JSON bodies),
 //!   the v4 tenant/quota grammar, and the typed [`ErrorKind`] envelope
@@ -49,4 +50,4 @@ pub use http::{Request, RequestParts, RequestReader, Response};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::ServiceMetrics;
 pub use server::{Server, ServerConfig, ShardedServer};
-pub use wire::{ErrorKind, SolveRequest};
+pub use wire::{ErrorKind, Failure, SolveRequest};

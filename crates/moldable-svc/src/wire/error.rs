@@ -13,7 +13,9 @@
 //! ([`Display`](std::fmt::Display)) and HTTP status codes
 //! ([`ErrorKind::status`]); `detail` stays the human-readable message,
 //! verbatim (e.g. a [`QuotaDenial`] rendering or the solver registry
-//! listing).
+//! listing). A [`Failure`] carries both from the stage that raised it to
+//! the front end that renders it, so no kind is ever re-derived from
+//! the message text.
 //!
 //! [`QuotaDenial`]: moldable_sched::quotas::QuotaDenial
 
@@ -80,38 +82,51 @@ impl ErrorKind {
         }))
         .expect("shim serialization is infallible")
     }
+}
 
-    /// Classify a CLI-side error message by the stable prefixes the
-    /// solver pipeline uses, so `main` can render the same envelope the
-    /// service would for the same failure. The race path tags pipeline
-    /// errors with a leading `solver-label: ` segment, so those two
-    /// prefixes are also recognized one segment in. Anything
-    /// unrecognized is a request problem — the CLI has no
-    /// transport-level failures.
-    pub fn classify(detail: &str) -> ErrorKind {
-        if detail.starts_with("unknown solver ") {
-            ErrorKind::UnknownSolver
-        } else if detail.starts_with("quota rule ") {
-            ErrorKind::QuotaDenied
-        } else if pipeline_prefix(detail, "placement failed") {
-            ErrorKind::Placement
-        } else if pipeline_prefix(detail, "solver produced an invalid schedule") {
-            ErrorKind::InvalidSchedule
-        } else {
-            ErrorKind::BadRequest
+/// A failure on its way to the envelope: the [`ErrorKind`] set by the
+/// stage that raised it, plus the verbatim detail.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Failure {
+    /// The failure class; fixes the HTTP status and the envelope `kind`.
+    pub kind: ErrorKind,
+    /// The human-readable message.
+    pub detail: String,
+}
+
+impl Failure {
+    /// A failure of `kind` carrying `detail`.
+    pub fn new(kind: ErrorKind, detail: impl Into<String>) -> Failure {
+        Failure {
+            kind,
+            detail: detail.into(),
         }
+    }
+
+    /// A malformed or invalid request: the kind of every parse and
+    /// cross-field check.
+    pub fn bad_request(detail: impl Into<String>) -> Failure {
+        Failure::new(ErrorKind::BadRequest, detail)
+    }
+
+    /// The rendered `{"error": {"kind", "detail"}}` envelope.
+    pub fn envelope(&self) -> String {
+        self.kind.envelope(&self.detail)
     }
 }
 
-/// True when `detail` starts with the pipeline `prefix`, allowing at
-/// most one leading `label: ` segment (a race-roster solver name).
-fn pipeline_prefix(detail: &str, prefix: &str) -> bool {
-    if detail.starts_with(prefix) {
-        return true;
+/// Admission refused the request: `quota-denied`, the denial verbatim.
+impl From<Box<moldable_sched::quotas::QuotaDenial>> for Failure {
+    fn from(denial: Box<moldable_sched::quotas::QuotaDenial>) -> Failure {
+        Failure::new(ErrorKind::QuotaDenied, denial.to_string())
     }
-    detail
-        .split_once(": ")
-        .is_some_and(|(_, tail)| tail.starts_with(prefix))
+}
+
+/// `algo` names no solver: `unknown-solver`, listing every registry name.
+impl From<moldable_sched::solver::UnknownSolver> for Failure {
+    fn from(unknown: moldable_sched::solver::UnknownSolver) -> Failure {
+        Failure::new(ErrorKind::UnknownSolver, unknown.to_string())
+    }
 }
 
 impl fmt::Display for ErrorKind {
@@ -166,38 +181,5 @@ mod tests {
             ErrorKind::BadRequest.envelope(r#"bad `eps`: "3/2""#),
             r#"{"error":{"kind":"bad-request","detail":"bad `eps`: \"3/2\""}}"#
         );
-    }
-
-    #[test]
-    fn cli_classifier_matches_the_pipeline_prefixes() {
-        let cases = [
-            (
-                "unknown solver `x` (valid names: a)",
-                ErrorKind::UnknownSolver,
-            ),
-            (
-                "quota rule alice/*/*{jobs<=1} denies jobs: in use 1 + requested 1 > 1",
-                ErrorKind::QuotaDenied,
-            ),
-            ("placement failed: level mismatch", ErrorKind::Placement),
-            (
-                "solver produced an invalid schedule: overcommit",
-                ErrorKind::InvalidSchedule,
-            ),
-            // Race-path errors carry the solver label up front.
-            (
-                "dual (eps=1/4): placement failed: level mismatch",
-                ErrorKind::Placement,
-            ),
-            (
-                "linear: solver produced an invalid schedule: overcommit",
-                ErrorKind::InvalidSchedule,
-            ),
-            ("`algo` must be a string", ErrorKind::BadRequest),
-            ("missing `instance`", ErrorKind::BadRequest),
-        ];
-        for (detail, kind) in cases {
-            assert_eq!(ErrorKind::classify(detail), kind, "{detail}");
-        }
     }
 }

@@ -21,12 +21,74 @@ pub mod error;
 pub mod solve;
 pub mod tenant;
 
-pub use error::ErrorKind;
+pub use error::{ErrorKind, Failure};
 pub use solve::{parse_solve_body, parse_solve_body_tree, SolveRequest};
-pub use tenant::{
-    quotas_from_borrowed, quotas_from_json, quotas_from_str, tenant_from_borrowed,
-    tenant_from_json, DEFAULT_WINDOW,
-};
+pub use tenant::{quotas_from_str, DEFAULT_WINDOW};
+
+use serde_json::borrow::BorrowedValue;
+use serde_json::{Number, Value};
+
+/// The minimal read surface the generic request walks need, implemented
+/// by both JSON trees, so the owned-tree and zero-copy parsers share one
+/// walk — same fields, same defaults, same error texts by construction.
+/// Lookups are first-match like both trees' own `get`.
+pub(crate) trait JsonView {
+    fn get_field(&self, key: &str) -> Option<&Self>;
+    fn str_value(&self) -> Option<&str>;
+    fn bool_value(&self) -> Option<bool>;
+    fn number_value(&self) -> Option<&Number>;
+    fn array_len(&self) -> Option<usize>;
+    fn array_item(&self, i: usize) -> &Self;
+    fn is_object(&self) -> bool;
+}
+
+impl JsonView for Value {
+    fn get_field(&self, key: &str) -> Option<&Self> {
+        self.get(key)
+    }
+    fn str_value(&self) -> Option<&str> {
+        self.as_str()
+    }
+    fn bool_value(&self) -> Option<bool> {
+        self.as_bool()
+    }
+    fn number_value(&self) -> Option<&Number> {
+        self.as_number()
+    }
+    fn array_len(&self) -> Option<usize> {
+        self.as_array().map(Vec::len)
+    }
+    fn array_item(&self, i: usize) -> &Self {
+        &self.as_array().expect("checked by array_len")[i]
+    }
+    fn is_object(&self) -> bool {
+        self.as_object().is_some()
+    }
+}
+
+impl JsonView for BorrowedValue<'_> {
+    fn get_field(&self, key: &str) -> Option<&Self> {
+        self.get(key)
+    }
+    fn str_value(&self) -> Option<&str> {
+        self.as_str()
+    }
+    fn bool_value(&self) -> Option<bool> {
+        self.as_bool()
+    }
+    fn number_value(&self) -> Option<&Number> {
+        self.as_number()
+    }
+    fn array_len(&self) -> Option<usize> {
+        self.as_array().map(<[_]>::len)
+    }
+    fn array_item(&self, i: usize) -> &Self {
+        &self.as_array().expect("checked by array_len")[i]
+    }
+    fn is_object(&self) -> bool {
+        self.as_object().is_some()
+    }
+}
 
 /// Wire-format v1: the original solve response — `algo`, `eps`,
 /// `makespan`, `lower_bound`, `ratio_bound`, `n`, `m`, and the

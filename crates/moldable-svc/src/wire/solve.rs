@@ -23,10 +23,8 @@
 //! byte-identical `Result`s on arbitrary bodies), never as a fallback.
 
 use crate::app::parse_eps;
-use crate::wire::tenant::{
-    quotas_from_borrowed, quotas_from_json, quotas_from_str, tenant_from_borrowed,
-    tenant_from_json,
-};
+use crate::wire::tenant::{quotas_from, quotas_from_str, tenant_from};
+use crate::wire::JsonView;
 use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
 use moldable_core::io::{CurveSpec, InstanceSpec};
@@ -79,121 +77,18 @@ impl SolveRequest {
     /// Read the shared fields from a parsed JSON request body. Unknown
     /// fields are ignored (the instance itself is parsed separately).
     pub fn from_json(request: &Value, default_eps: &Ratio) -> Result<SolveRequest, String> {
-        let algo = match request.get("algo") {
-            None => "linear".to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| "`algo` must be a string".to_string())?
-                .to_string(),
-        };
-        let eps = match request.get("eps") {
-            None => *default_eps,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| "`eps` must be a string like \"1/4\"".to_string())?;
-                parse_eps(raw)?
-            }
-        };
-        let placements = match request.get("placements") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| "`placements` must be a boolean".to_string())?,
-        };
-        let topology = match request.get("topology") {
-            None => None,
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| TOPOLOGY_TYPE_ERROR.to_string())?;
-                Some(parse_topology(raw)?)
-            }
-        };
-        let policy = match request.get("policy") {
-            None => PlacementPolicy::Contiguous,
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| POLICY_TYPE_ERROR.to_string())?;
-                parse_policy(raw, topology.as_ref())?
-            }
-        };
-        let tenant = match request.get("tenant") {
-            None => None,
-            Some(v) => Some(tenant_from_json(v)?),
-        };
-        let quotas = match request.get("quotas") {
-            None => None,
-            Some(v) => Some(check_quotas(quotas_from_json(v)?, tenant.as_ref())?),
-        };
-        Ok(SolveRequest {
-            algo,
-            eps,
-            placements,
-            topology,
-            policy,
-            tenant,
-            quotas,
-        })
+        knobs_from(request, default_eps)
     }
 
     /// Read the shared fields from a zero-copy parsed body — the
-    /// borrowed twin of [`SolveRequest::from_json`], same field names,
-    /// defaults, and error texts.
+    /// borrowed twin of [`SolveRequest::from_json`], through the same
+    /// walk, so field names, defaults, and error texts agree by
+    /// construction.
     pub fn from_borrowed(
         request: &BorrowedValue<'_>,
         default_eps: &Ratio,
     ) -> Result<SolveRequest, String> {
-        let algo = match request.get("algo") {
-            None => "linear".to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| "`algo` must be a string".to_string())?
-                .to_string(),
-        };
-        let eps = match request.get("eps") {
-            None => *default_eps,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| "`eps` must be a string like \"1/4\"".to_string())?;
-                parse_eps(raw)?
-            }
-        };
-        let placements = match request.get("placements") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| "`placements` must be a boolean".to_string())?,
-        };
-        let topology = match request.get("topology") {
-            None => None,
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| TOPOLOGY_TYPE_ERROR.to_string())?;
-                Some(parse_topology(raw)?)
-            }
-        };
-        let policy = match request.get("policy") {
-            None => PlacementPolicy::Contiguous,
-            Some(v) => {
-                let raw = v.as_str().ok_or_else(|| POLICY_TYPE_ERROR.to_string())?;
-                parse_policy(raw, topology.as_ref())?
-            }
-        };
-        let tenant = match request.get("tenant") {
-            None => None,
-            Some(v) => Some(tenant_from_borrowed(v)?),
-        };
-        let quotas = match request.get("quotas") {
-            None => None,
-            Some(v) => Some(check_quotas(quotas_from_borrowed(v)?, tenant.as_ref())?),
-        };
-        Ok(SolveRequest {
-            algo,
-            eps,
-            placements,
-            topology,
-            policy,
-            tenant,
-            quotas,
-        })
+        knobs_from(request, default_eps)
     }
 
     /// Read the shared fields from CLI arguments: `--algo NAME`,
@@ -302,6 +197,59 @@ fn check_quotas(quotas: QuotaSet, tenant: Option<&Tenant>) -> Result<QuotaSet, S
         return Err("`quotas` requires `tenant`".to_string());
     }
     Ok(quotas)
+}
+
+/// The request-knob walk behind [`SolveRequest::from_json`] and
+/// [`SolveRequest::from_borrowed`], generic over the JSON tree. Knobs
+/// are read in a fixed order, so the first bad one names the error on
+/// both trees.
+fn knobs_from<V: JsonView>(request: &V, default_eps: &Ratio) -> Result<SolveRequest, String> {
+    let algo = str_knob(request, "algo", "`algo` must be a string")?
+        .unwrap_or("linear")
+        .to_string();
+    let eps = match str_knob(request, "eps", "`eps` must be a string like \"1/4\"")? {
+        None => *default_eps,
+        Some(raw) => parse_eps(raw)?,
+    };
+    let placements = match request.get_field("placements") {
+        None => false,
+        Some(v) => v
+            .bool_value()
+            .ok_or_else(|| "`placements` must be a boolean".to_string())?,
+    };
+    let topology = str_knob(request, "topology", TOPOLOGY_TYPE_ERROR)?
+        .map(parse_topology)
+        .transpose()?;
+    let policy = match str_knob(request, "policy", POLICY_TYPE_ERROR)? {
+        None => PlacementPolicy::Contiguous,
+        Some(raw) => parse_policy(raw, topology.as_ref())?,
+    };
+    let tenant = request.get_field("tenant").map(tenant_from).transpose()?;
+    let quotas = request
+        .get_field("quotas")
+        .map(|v| check_quotas(quotas_from(v)?, tenant.as_ref()))
+        .transpose()?;
+    Ok(SolveRequest {
+        algo,
+        eps,
+        placements,
+        topology,
+        policy,
+        tenant,
+        quotas,
+    })
+}
+
+/// A string-valued knob: `None` when absent, `error` when not a string.
+fn str_knob<'a, V: JsonView>(
+    request: &'a V,
+    key: &str,
+    error: &str,
+) -> Result<Option<&'a str>, String> {
+    request
+        .get_field(key)
+        .map(|v| v.str_value().ok_or_else(|| error.to_string()))
+        .transpose()
 }
 
 /// Parse a complete `/v1/solve`-shaped body on the zero-copy path:

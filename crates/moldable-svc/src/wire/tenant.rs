@@ -25,8 +25,8 @@
 //! parsers cannot drift — same fields, same defaults, same error texts
 //! by construction.
 
+use crate::wire::JsonView;
 use moldable_sched::quotas::{QuotaRule, QuotaSet, Tenant};
-use serde_json::borrow::BorrowedValue;
 use serde_json::{Number, Value};
 
 /// Sliding-window length (ticks) when `quotas.window` is omitted: one
@@ -39,81 +39,6 @@ const TENANT_TYPE_ERROR: &str = "`tenant` must be an object like {\"user\": \"al
 /// Error text for a non-object `quotas` field, shared by every parser.
 const QUOTAS_TYPE_ERROR: &str = "`quotas` must be an object with a `rules` array";
 
-/// The minimal read surface the generic walk needs, implemented by both
-/// JSON trees. Lookups are first-match like both trees' own `get`.
-trait JsonView {
-    fn get_field(&self, key: &str) -> Option<&Self>;
-    fn str_value(&self) -> Option<&str>;
-    fn number_value(&self) -> Option<&Number>;
-    fn array_len(&self) -> Option<usize>;
-    fn array_item(&self, i: usize) -> &Self;
-    fn is_object(&self) -> bool;
-}
-
-impl JsonView for Value {
-    fn get_field(&self, key: &str) -> Option<&Self> {
-        self.get(key)
-    }
-    fn str_value(&self) -> Option<&str> {
-        self.as_str()
-    }
-    fn number_value(&self) -> Option<&Number> {
-        self.as_number()
-    }
-    fn array_len(&self) -> Option<usize> {
-        self.as_array().map(Vec::len)
-    }
-    fn array_item(&self, i: usize) -> &Self {
-        &self.as_array().expect("checked by array_len")[i]
-    }
-    fn is_object(&self) -> bool {
-        self.as_object().is_some()
-    }
-}
-
-impl JsonView for BorrowedValue<'_> {
-    fn get_field(&self, key: &str) -> Option<&Self> {
-        self.get(key)
-    }
-    fn str_value(&self) -> Option<&str> {
-        self.as_str()
-    }
-    fn number_value(&self) -> Option<&Number> {
-        self.as_number()
-    }
-    fn array_len(&self) -> Option<usize> {
-        self.as_array().map(<[_]>::len)
-    }
-    fn array_item(&self, i: usize) -> &Self {
-        &self.as_array().expect("checked by array_len")[i]
-    }
-    fn is_object(&self) -> bool {
-        self.as_object().is_some()
-    }
-}
-
-/// Parse a `tenant` object from an owned JSON tree.
-pub fn tenant_from_json(v: &Value) -> Result<Tenant, String> {
-    tenant_from(v)
-}
-
-/// Parse a `tenant` object from a zero-copy borrowed tree — same
-/// grammar and error texts as [`tenant_from_json`] by construction.
-pub fn tenant_from_borrowed(v: &BorrowedValue<'_>) -> Result<Tenant, String> {
-    tenant_from(v)
-}
-
-/// Parse a `quotas` object from an owned JSON tree.
-pub fn quotas_from_json(v: &Value) -> Result<QuotaSet, String> {
-    quotas_from(v)
-}
-
-/// Parse a `quotas` object from a zero-copy borrowed tree — same
-/// grammar and error texts as [`quotas_from_json`] by construction.
-pub fn quotas_from_borrowed(v: &BorrowedValue<'_>) -> Result<QuotaSet, String> {
-    quotas_from(v)
-}
-
 /// Parse a `quotas` object from JSON text — the CLI `--quotas` flag and
 /// the service's `--quotas FILE` both land here, so operator files and
 /// request bodies share one grammar.
@@ -122,7 +47,8 @@ pub fn quotas_from_str(text: &str) -> Result<QuotaSet, String> {
     quotas_from(&v)
 }
 
-fn tenant_from<V: JsonView>(v: &V) -> Result<Tenant, String> {
+/// Parse a `tenant` object from either JSON tree.
+pub(crate) fn tenant_from<V: JsonView>(v: &V) -> Result<Tenant, String> {
     if !v.is_object() {
         return Err(TENANT_TYPE_ERROR.to_string());
     }
@@ -153,7 +79,8 @@ fn tenant_from<V: JsonView>(v: &V) -> Result<Tenant, String> {
     })
 }
 
-fn quotas_from<V: JsonView>(v: &V) -> Result<QuotaSet, String> {
+/// Parse a `quotas` object from either JSON tree.
+pub(crate) fn quotas_from<V: JsonView>(v: &V) -> Result<QuotaSet, String> {
     if !v.is_object() {
         return Err(QUOTAS_TYPE_ERROR.to_string());
     }
@@ -236,8 +163,8 @@ mod tests {
     fn both_tenant(text: &str) -> Result<Tenant, String> {
         let owned: Value = serde_json::from_str(text).unwrap();
         let borrowed = from_str_borrowed(text).unwrap();
-        let a = tenant_from_json(&owned);
-        let b = tenant_from_borrowed(&borrowed);
+        let a = tenant_from(&owned);
+        let b = tenant_from(&borrowed);
         assert_eq!(a, b, "{text}");
         a
     }
@@ -245,8 +172,8 @@ mod tests {
     fn both_quotas(text: &str) -> Result<QuotaSet, String> {
         let owned: Value = serde_json::from_str(text).unwrap();
         let borrowed = from_str_borrowed(text).unwrap();
-        let a = quotas_from_json(&owned);
-        let b = quotas_from_borrowed(&borrowed);
+        let a = quotas_from(&owned);
+        let b = quotas_from(&borrowed);
         assert_eq!(a, b, "{text}");
         assert_eq!(quotas_from_str(text), a, "{text}");
         a

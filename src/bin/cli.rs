@@ -16,12 +16,12 @@
 //! `{job, start_num, start_den, procs}`.
 
 use moldable::core::io::InstanceSpec;
-use moldable::core::view::JobView;
 use moldable::prelude::*;
 use moldable::sched::baselines;
 use moldable::sched::batch;
-use moldable::sched::quotas::{Demand, QuotaEngine};
-use moldable::sched::solver::{race_roster, solver_by_name, SOLVER_NAMES};
+use moldable::sched::solver::{solver_by_name, SOLVER_NAMES};
+use moldable::svc::app::{check_own_quotas, push_field, race_reply, solve_reply};
+use moldable::svc::{Failure, SolveRequest};
 use moldable::viz::render_gantt;
 use moldable::workloads::{
     FitModel, LublinParams, LublinSource, SwfSource, SwfTrace, SynthesisParams, WorkloadSource,
@@ -35,29 +35,31 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    // `solve` and `race` run the service pipeline, whose stages set each
+    // failure's kind; every other command fails only on its own input.
     let result = match cmd.as_str() {
-        "schedule" => cmd_schedule(&args[1..]),
+        "schedule" => cmd_schedule(&args[1..]).map_err(Failure::bad_request),
         "solve" => cmd_solve(&args[1..]),
         "race" => cmd_race(&args[1..]),
-        "estimate" => cmd_estimate(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "validate" => cmd_validate(&args[1..]),
-        "simulate" => cmd_simulate(&args[1..]),
-        "render" => cmd_render(&args[1..]),
+        "estimate" => cmd_estimate(&args[1..]).map_err(Failure::bad_request),
+        "generate" => cmd_generate(&args[1..]).map_err(Failure::bad_request),
+        "validate" => cmd_validate(&args[1..]).map_err(Failure::bad_request),
+        "simulate" => cmd_simulate(&args[1..]).map_err(Failure::bad_request),
+        "render" => cmd_render(&args[1..]).map_err(Failure::bad_request),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(Failure::bad_request(format!(
+            "unknown command `{other}`\n{USAGE}"
+        ))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // The same typed envelope the service puts in HTTP error
-            // bodies, classified from the identical detail strings —
+        Err(failure) => {
+            // The typed envelope the service puts in HTTP error bodies —
             // scripts parse one error shape from either front end.
-            let kind = moldable::svc::ErrorKind::classify(&e);
-            eprintln!("{}", kind.envelope(&e));
+            eprintln!("{}", failure.envelope());
             ExitCode::FAILURE
         }
     }
@@ -142,236 +144,65 @@ fn cmd_schedule(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Append a key to a `json!`-built object reply (the shim `Value` keeps
-/// insertion order, so optional fields always serialize last).
-fn push_field(value: &mut Value, key: &str, field: Value) {
-    match value {
-        Value::Object(fields) => fields.push((key.to_string(), field)),
-        _ => unreachable!("reports are built as objects"),
-    }
+/// The `solve`/`race` request: the instance file plus the shared wire
+/// knobs, parsed and cross-checked like a `/v1/*` body.
+fn solve_request(args: &[String]) -> Result<(SolveRequest, Instance), Failure> {
+    let inst = load_instance(args).map_err(Failure::bad_request)?;
+    let req = SolveRequest::from_args(args, &Ratio::new(1, 4)).map_err(Failure::bad_request)?;
+    req.check_topology(inst.m()).map_err(Failure::bad_request)?;
+    Ok((req, inst))
 }
 
-/// Attach a placement to a schedule when `--place` asked for one and the
-/// solver did not produce a native layer, mirroring the service handler.
-fn ensure_placement(
-    view: &JobView,
-    schedule: &mut Schedule,
-    label: Option<&str>,
-) -> Result<(), String> {
-    if schedule.placement.is_some() {
-        return Ok(());
-    }
-    let placement =
-        moldable::sched::place_contiguous(view, schedule).map_err(|e| match label {
-            Some(l) => format!("{l}: placement failed: {e}"),
-            None => format!("placement failed: {e}"),
-        })?;
-    schedule.placement = Some(placement);
+/// `solve`: any registry solver through the service's own stages, in
+/// its order (request → solver → in-request quotas → [`solve_reply`]),
+/// printing the `/v1/solve` body. `--place` adds the wire-format v2
+/// `placements` rows, `--topology SPEC [--policy P]` the v3 fields, and
+/// `--tenant` the v4 echo.
+fn cmd_solve(args: &[String]) -> Result<(), Failure> {
+    let (req, inst) = solve_request(args)?;
+    let solver = solver_by_name(&req.algo, &req.eps)?;
+    check_own_quotas(&req, &inst, 0)?;
+    let reply = solve_reply(&req, &inst, solver.as_ref())?;
+    println!("{}", serde_json::to_string_pretty(&reply).unwrap());
     Ok(())
 }
 
-/// Mirror the service's in-request admission check: a `--quotas` rule
-/// set is a self-declared cap, tested with the same demand the service
-/// would charge ("would this solve fit these rules on an idle
-/// cluster"). A denial travels through the typed
-/// `{"error": {"kind": "quota-denied", …}}` envelope on stderr.
-fn check_quotas(req: &moldable::svc::SolveRequest, inst: &Instance) -> Result<(), String> {
-    let (Some(tenant), Some(set)) = (&req.tenant, &req.quotas) else {
-        return Ok(());
-    };
-    let demand = Demand {
-        procs: inst.m(),
-        jobs: 1,
-        resource_seconds: inst.jobs().iter().map(|j| u128::from(j.time(1))).sum(),
-    };
-    QuotaEngine::new(set.clone())
-        .admit(tenant, &demand, 0)
-        .map(|_| ())
-        .map_err(|d| d.to_string())
-}
-
-/// `solve`: run any registry solver through the [`MakespanSolver`]
-/// facade and report its certificates alongside the schedule. `--place`
-/// adds the wire-format v2 `placements` rows (concrete processor sets);
-/// `--topology SPEC [--policy P]` lowers through the hierarchy-aware
-/// pipeline and emits the wire-format v3 fields through the service's
-/// own serializers, so the CI parity gate can diff the two front ends.
-fn cmd_solve(args: &[String]) -> Result<(), String> {
-    let inst = load_instance(args)?;
-    let req = moldable::svc::SolveRequest::from_args(args, &Ratio::new(1, 4))?;
-    req.check_topology(inst.m())?;
-    check_quotas(&req, &inst)?;
-    let solver = solver_by_name(&req.algo, &req.eps).map_err(|e| e.to_string())?;
-    let view = JobView::build(&inst);
-    if req.algo == "exact" && !moldable::sched::solver::ExactSolver::fits(&view) {
-        return Err(format!(
-            "instance too large for the exact solver (n ≤ {}, m ≤ {})",
-            moldable::sched::exact::EXACT_N_LIMIT,
-            moldable::sched::exact::EXACT_M_LIMIT
-        ));
-    }
-    let mut outcome = solver.solve(&view, view.m());
-    if let Some(topology) = &req.topology {
-        // A topology re-lowers even solver-provided placements — same
-        // rule as the service, so the two front ends answer alike.
-        let placement =
-            moldable::sched::place_with(&view, &outcome.schedule, topology, &req.policy)
-                .map_err(|e| format!("placement failed: {e}"))?;
-        outcome.schedule.placement = Some(placement);
-    } else if req.placements {
-        ensure_placement(&view, &mut outcome.schedule, None)?;
-    }
-    // The same prefix the service handler uses, so `ErrorKind::classify`
-    // files this under `invalid-schedule` on both front ends.
-    validate(&outcome.schedule, &inst)
-        .map_err(|e| format!("solver produced an invalid schedule: {e}"))?;
-    let mut out = json!({
-        "schema": req.schema(),
-        "algo": req.algo,
-        "solver": solver.name(),
-        "makespan": outcome.makespan.to_f64(),
-        "ratio_bound": outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-        "opt_lower_bound": outcome.lower_bound,
-        "probes": outcome.probes,
-        "total_work": outcome.schedule.total_work(&inst).to_string(),
-        "assignments": moldable::svc::app::assignment_rows(&inst, &outcome.schedule),
-    });
-    if req.placements || req.topology.is_some() {
-        let placement = outcome.schedule.placement.as_ref().expect("placed above");
-        push_field(
-            &mut out,
-            "placements",
-            moldable::svc::app::placement_rows_on(placement, req.topology.as_ref()),
-        );
-    }
-    if let Some(topology) = &req.topology {
-        let placement = outcome.schedule.placement.as_ref().expect("placed above");
-        push_field(
-            &mut out,
-            "topology",
-            moldable::svc::app::topology_rows(topology),
-        );
-        push_field(
-            &mut out,
-            "policy",
-            Value::String(req.policy.label(topology)),
-        );
-        push_field(
-            &mut out,
-            "fragmentation",
-            moldable::svc::app::fragmentation_summary(topology, placement),
-        );
-    }
-    if let Some(tenant) = &req.tenant {
-        push_field(&mut out, "tenant", moldable::svc::app::tenant_echo(tenant));
-    }
-    println!("{}", serde_json::to_string_pretty(&out).unwrap());
-    Ok(())
-}
-
-/// `race`: every applicable registry solver on one instance through the
-/// batch engine. With `--check`, exit non-zero if any solver's makespan
-/// exceeds its proven ratio bound against the factor-2 estimator
-/// (makespan ≤ bound · 2ω must hold because OPT ≤ 2ω) — the CI
+/// `race`: every applicable registry solver through [`race_reply`],
+/// printing the `/v1/race` body. With `--check`, fail when
+/// `all_bounds_hold` is false, naming the rows whose makespan exceeds
+/// their proven ratio bound against the factor-2 estimator — the CI
 /// solver-parity gate.
-fn cmd_race(args: &[String]) -> Result<(), String> {
-    let inst = load_instance(args)?;
-    let req = moldable::svc::SolveRequest::from_args(args, &Ratio::new(1, 4))?;
-    req.check_topology(inst.m())?;
-    check_quotas(&req, &inst)?;
-    let eps = req.eps;
-    let threads: usize = flag(args, "--threads")
-        .map(|s| s.parse().map_err(|_| "bad --threads"))
-        .transpose()?
-        .unwrap_or_else(|| batch::default_threads(SOLVER_NAMES.len()));
-    let view = JobView::build(&inst);
-    let omega = moldable::sched::estimate_view(&view).omega;
-    let solvers = race_roster(&view, &eps);
-    let results = batch::race(&solvers, &view, threads);
-    let mut violations: Vec<String> = Vec::new();
-    let rows: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            let mut schedule = r.outcome.schedule.clone();
-            if let Some(topology) = &req.topology {
-                let placement =
-                    moldable::sched::place_with(&view, &schedule, topology, &req.policy)
-                        .map_err(|e| format!("{}: placement failed: {e}", r.label))?;
-                schedule.placement = Some(placement);
-            } else if req.placements {
-                ensure_placement(&view, &mut schedule, Some(&r.label))?;
-            }
-            validate(&schedule, &inst).map_err(|e| {
-                format!("{}: solver produced an invalid schedule: {e}", r.label)
-            })?;
-            let bound_ok = r.outcome.ratio_bound.as_ref().map(|b| {
-                let cap = b.mul_int(2 * omega as u128);
-                let ok = r.outcome.makespan <= cap;
-                if !ok {
-                    violations.push(format!(
-                        "{}: makespan {} exceeds {} · 2ω = {}",
-                        r.label, r.outcome.makespan, b, cap
-                    ));
-                }
-                ok
-            });
-            let mut row = json!({
-                "solver": r.label,
-                "makespan": r.outcome.makespan.to_f64(),
-                "ratio_bound": r.outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-                "bound_holds_vs_2omega": bound_ok,
-                "probes": r.outcome.probes,
-                "wall_seconds": r.wall.as_secs_f64(),
-            });
-            if req.placements || req.topology.is_some() {
-                let placement = schedule.placement.as_ref().expect("placed above");
-                push_field(
-                    &mut row,
-                    "placements",
-                    moldable::svc::app::placement_rows_on(placement, req.topology.as_ref()),
-                );
-            }
-            if let Some(topology) = &req.topology {
-                let placement = schedule.placement.as_ref().expect("placed above");
-                push_field(
-                    &mut row,
-                    "fragmentation",
-                    moldable::svc::app::fragmentation_summary(topology, placement),
-                );
-            }
-            Ok(row)
-        })
-        .collect::<Result<_, String>>()?;
-    let mut out = json!({
-        "schema": req.schema(),
-        "n": inst.n(),
-        "m": inst.m(),
-        "eps": eps.to_f64(),
-        "omega": omega,
-        "threads": threads,
-    });
-    if let Some(topology) = &req.topology {
-        push_field(
-            &mut out,
-            "topology",
-            moldable::svc::app::topology_rows(topology),
-        );
-        push_field(
-            &mut out,
-            "policy",
-            Value::String(req.policy.label(topology)),
-        );
-    }
-    push_field(&mut out, "results", Value::Array(rows));
-    if let Some(tenant) = &req.tenant {
-        push_field(&mut out, "tenant", moldable::svc::app::tenant_echo(tenant));
-    }
-    println!("{}", serde_json::to_string_pretty(&out).unwrap());
-    if has_flag(args, "--check") && !violations.is_empty() {
-        return Err(format!(
+fn cmd_race(args: &[String]) -> Result<(), Failure> {
+    let (req, inst) = solve_request(args)?;
+    let threads = match flag(args, "--threads") {
+        Some(s) => s
+            .parse()
+            .map_err(|_| Failure::bad_request("bad --threads"))?,
+        None => batch::default_threads(SOLVER_NAMES.len()),
+    };
+    check_own_quotas(&req, &inst, 0)?;
+    let reply = race_reply(&req, &inst, threads)?;
+    println!("{}", serde_json::to_string_pretty(&reply).unwrap());
+    if has_flag(args, "--check") && reply["all_bounds_hold"] == Value::Bool(false) {
+        let over: Vec<String> = reply["results"]
+            .as_array()
+            .expect("race replies carry results")
+            .iter()
+            .filter(|row| row["bound_holds_vs_2omega"] == Value::Bool(false))
+            .map(|row| {
+                format!(
+                    "{}: makespan {} exceeds {} · 2ω (ω = {})",
+                    row["solver"].as_str().unwrap_or_default(),
+                    row["makespan"].as_f64().unwrap_or_default(),
+                    row["ratio_bound"].as_f64().unwrap_or_default(),
+                    reply["omega"].as_u64().unwrap_or_default(),
+                )
+            })
+            .collect();
+        return Err(Failure::bad_request(format!(
             "solver-parity check failed:\n  {}",
-            violations.join("\n  ")
-        ));
+            over.join("\n  ")
+        )));
     }
     Ok(())
 }

@@ -1,12 +1,10 @@
 //! Property-based tests of the placement layer: every registry solver's
 //! schedule lowers to a valid placement (pairwise-disjoint processor
-//! sets per time slot, set size equal to the allotment), the
-//! `contiguous-73-50` solver's native placement is contiguous, and
-//! `SlotSet` claim/release round-trips back to a fully free timeline.
+//! sets per time slot, set size equal to the allotment), and the
+//! `contiguous-73-50` solver's native placement is contiguous.
 
 use moldable::core::hierarchy::Topology;
 use moldable::core::procset::ProcSet;
-use moldable::core::slotset::SlotSet;
 use moldable::core::speedup::monotone_closure;
 use moldable::core::view::JobView;
 use moldable::prelude::*;
@@ -181,44 +179,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// SlotSet claim/release round-trip: claiming what `free_over`
-    /// offers always succeeds, claims are never available twice, and
-    /// releasing everything coalesces back to a single fully-free slot.
-    #[test]
-    fn slotset_claims_release_back_to_free(
-        m in 1u64..=16,
-        ops in prop::collection::vec((0u64..40, 1u64..20, 1u64..8), 1..24),
-    ) {
-        let mut timeline = SlotSet::new(m);
-        let mut claimed: Vec<(Ratio, Ratio, ProcSet)> = Vec::new();
-        for (start, dur, width) in ops {
-            let width = width.min(m);
-            let start = Ratio::from(start);
-            let end = start.add(&Ratio::from(dur));
-            let free = timeline.free_over(&start, &end);
-            if free.size() < width {
-                continue; // window too busy for this op
-            }
-            let procs = free.take_first(width).expect("size checked above");
-            prop_assert_eq!(procs.size(), width);
-            prop_assert!(timeline.claim(&start, &end, &procs), "free set must claim");
-            // The same processors are no longer free over that window.
-            prop_assert!(timeline.free_over(&start, &end).is_disjoint(&procs));
-            claimed.push((start, end, procs));
-        }
-        // Release in a scrambled order (reverse is enough to de-pair the
-        // claim order) and require full coalescing at the end.
-        claimed.reverse();
-        for (start, end, procs) in claimed {
-            timeline.release(&start, &end, &procs);
-        }
-        prop_assert_eq!(timeline.len(), 1);
-        prop_assert_eq!(
-            timeline.free_over(&Ratio::from(0u64), &Ratio::from(1000u64)).size(),
-            m
-        );
     }
 }
 
