@@ -6,11 +6,16 @@
 //! × 32 cores topology under each `PlacementPolicy` (the wire-format v3
 //! `topology` path).
 //!
+//! The `locality-hier` row scores the packed placement the v3 wire
+//! format reports: `span_blocks` for every row at every level plus the
+//! `fragmentation` fold, 6 · 10⁵ locality queries over 4288 blocks.
+//!
 //! All rows are tracked by the CI perf-regression gate
 //! (`ci/bench_gate.py` against `benches/baseline.json`); the gate's
-//! `--max-ratio` bars additionally hold every hierarchical row within
-//! 2x of the flat `place-flat` median (same schedule, same m = 4096
-//! machine) from the same run.
+//! `--max-ratio` bars additionally hold every hierarchical lowering row
+//! within 2x of the flat `place-flat` median (same schedule, same
+//! m = 4096 machine) from the same run, and the locality row below 1x
+//! of it — a per-block scan (~9 · 10⁸ set tests) cannot pass that bar.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::hierarchy::Topology;
@@ -79,6 +84,30 @@ fn bench_placement(c: &mut Criterion) {
             })
         });
     }
+
+    let packed = place_with(
+        &hier_view,
+        &hier_outcome.schedule,
+        &topology,
+        &PlacementPolicy::Packed { level: 0 },
+    )
+    .expect("schedule is demand-feasible");
+    group.bench_function(BenchmarkId::new("locality-hier", n), |b| {
+        b.iter(|| {
+            let mut spans = 0u64;
+            for p in &packed.jobs {
+                for level in 0..topology.levels().len() {
+                    spans += topology.span_blocks(level, &p.procs);
+                }
+            }
+            let report = topology.fragmentation(&packed);
+            assert_eq!(
+                spans,
+                report.levels.iter().map(|l| l.total_spans).sum::<u64>()
+            );
+            report
+        })
+    });
 
     group.finish();
 }

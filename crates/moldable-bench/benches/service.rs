@@ -53,6 +53,14 @@ fn bench_service(c: &mut Criterion) {
     let eps = Ratio::new(1, 4);
     let solver = solver_by_name("linear", &eps).expect("registry has linear");
 
+    // Free one large mapped block first. glibc raises its mmap and trim
+    // thresholds (here to 16 and 32 MiB) only after such a free; below
+    // them it can hand the ~2 MB a 1024-job `JobView::build` allocates
+    // back to the OS after every call, and the row then times the page
+    // faults that fetch it back, by an amount that depends on what the
+    // earlier rows happened to free. A long-running service sits in the
+    // raised state.
+    drop(std::hint::black_box(vec![1u8; 16 << 20]));
     for (n, m) in [(16usize, 256u64), (1024, 1 << 20)] {
         let body = solve_body(n, m);
         let request = Request {

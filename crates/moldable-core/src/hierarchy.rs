@@ -8,6 +8,12 @@
 //! flat index space `0..m` into blocks at every level — the model OAR
 //! uses for its resource hierarchy, kept as [`ProcSet`] blocks so every
 //! operation stays linear in the number of *ranges*, never in `m`.
+//! Construction also indexes every level once — its block ranges sorted
+//! by start, tiling `0..m` — so the block holding a processor is one
+//! binary search away: validation, [`Topology::span_blocks`],
+//! [`Topology::split_by_block`] and fragmentation never scan a level's
+//! blocks. Whole-block claiming ([`Topology::find_hierarchical`]) still
+//! walks them.
 //!
 //! Three primitives build on the tree:
 //!
@@ -49,10 +55,100 @@ pub struct Level {
 /// The one-level topology [`Topology::flat`] makes the hierarchy-free
 /// world a special case: one level `"machine"` holding the single block
 /// `0..m`.
+///
+/// The per-level lookup index is a function of the validated levels
+/// (their range starts are distinct, so its sort order is fixed), so
+/// derived equality is structural; [`Topology::hash_into`] reads only
+/// `m` and the levels.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     m: u64,
     levels: Vec<Level>,
+    /// One [`LevelIndex`] per level, same order as `levels`.
+    index: Vec<LevelIndex>,
+}
+
+/// One level's blocks flattened for lookup: every range of every block
+/// as `(lo, hi, block)`, sorted by `lo`. Once a level validates, the
+/// ranges tile `0..m`, so the range holding processor `p` is one binary
+/// search away and a contiguous run of processors maps to a contiguous
+/// run of ranges.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct LevelIndex {
+    ranges: Vec<(u64, u64, usize)>,
+}
+
+impl LevelIndex {
+    fn new(blocks: &[ProcSet]) -> LevelIndex {
+        let mut ranges: Vec<(u64, u64, usize)> = blocks
+            .iter()
+            .enumerate()
+            .flat_map(|(b, set)| set.ranges().iter().map(move |&(lo, hi)| (lo, hi, b)))
+            .collect();
+        ranges.sort_unstable_by_key(|&(lo, _, _)| lo);
+        LevelIndex { ranges }
+    }
+
+    /// Do the sorted ranges tile `0..m` — no gap, no overlap, nothing at
+    /// or past `m`? For non-empty blocks this is exactly "the blocks are
+    /// pairwise disjoint and their union is `full(m)`".
+    fn tiles(&self, m: u64) -> bool {
+        let mut next = 0u64;
+        for &(lo, hi, _) in &self.ranges {
+            if lo != next {
+                return false;
+            }
+            match hi.checked_add(1) {
+                Some(after) => next = after,
+                None => return false,
+            }
+        }
+        next == m
+    }
+
+    /// Position of the range holding `p`; `ranges.len()` when `p ≥ m`.
+    fn position(&self, p: u64) -> usize {
+        self.ranges.partition_point(|&(_, hi, _)| hi < p)
+    }
+
+    /// Positions `first..=last` of the ranges the run `[lo, hi]`
+    /// touches, or `None` when the run lies wholly at or past `m`.
+    fn run(&self, lo: u64, hi: u64) -> Option<(usize, usize)> {
+        let first = self.position(lo);
+        let last = self.position(hi).min(self.ranges.len().checked_sub(1)?);
+        (first <= last).then_some((first, last))
+    }
+
+    /// Number of distinct blocks `procs` touches: two binary searches
+    /// per fragment of `procs`, then a sort and dedup of the touched
+    /// block ids (a block with several ranges is counted once).
+    /// `blocks` is scratch space, so a fold over many sets allocates once.
+    fn span(&self, procs: &ProcSet, blocks: &mut Vec<usize>) -> u64 {
+        blocks.clear();
+        for &(lo, hi) in procs.ranges() {
+            let Some((first, last)) = self.run(lo, hi) else {
+                break;
+            };
+            blocks.extend(self.ranges[first..=last].iter().map(|&(_, _, b)| b));
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks.len() as u64
+    }
+
+    /// Call `f(block, lo, hi)` for every maximal piece of `procs` inside
+    /// one block range, in increasing `lo` order. Processors at or past
+    /// `m` belong to no block and are skipped.
+    fn split(&self, procs: &ProcSet, mut f: impl FnMut(usize, u64, u64)) {
+        for &(lo, hi) in procs.ranges() {
+            let Some((first, last)) = self.run(lo, hi) else {
+                break;
+            };
+            for &(rlo, rhi, b) in &self.ranges[first..=last] {
+                f(b, lo.max(rlo), hi.min(rhi));
+            }
+        }
+    }
 }
 
 /// Why a [`Topology`] failed to validate.
@@ -72,6 +168,14 @@ pub enum TopologyError {
     },
     /// A spec string (`"64*2*32"` or a block list) failed to parse.
     BadSpec(String),
+    /// An arity spec expands to more blocks, summed over its levels,
+    /// than [`MAX_SPEC_BLOCKS`] — refused before any block is built.
+    TooManyBlocks {
+        /// Blocks the spec asks for (saturating at `u64::MAX`).
+        blocks: u64,
+        /// The cap, [`MAX_SPEC_BLOCKS`].
+        limit: u64,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -88,6 +192,10 @@ impl fmt::Display for TopologyError {
                 )
             }
             TopologyError::BadSpec(msg) => write!(f, "bad topology spec: {msg}"),
+            TopologyError::TooManyBlocks { blocks, limit } => write!(
+                f,
+                "topology spec expands to {blocks} blocks, more than the {limit} allowed"
+            ),
         }
     }
 }
@@ -98,16 +206,28 @@ impl std::error::Error for TopologyError {}
 /// deeper than three levels continue as `level3`, `level4`, ….
 const SPEC_LEVEL_NAMES: [&str; 3] = ["node", "socket", "core"];
 
+/// Most blocks an arity spec may expand to, summed over its levels.
+/// An explicit list of single-processor blocks (`"0|1|2|…"`) spends
+/// about 7 bytes a block at this size (six or seven digits and a `|`),
+/// so the service's default 8 MiB body holds about 1.2 · 10⁶ of them:
+/// at 2²⁰ an arity spec builds no more blocks than a full body of
+/// explicit blocks could list. [`Topology::uniform`] checks the cap
+/// before building a single block, so a short spec like
+/// `"268435456*2"` is refused instead of allocating gigabytes.
+pub const MAX_SPEC_BLOCKS: u64 = 1 << 20;
+
 impl Topology {
     /// The trivial one-level hierarchy: a single `"machine"` block
     /// covering `0..m`. Lowering onto it reproduces the flat placement
     /// pass exactly.
     pub fn flat(m: u64) -> Topology {
+        let blocks = vec![ProcSet::full(m)];
         Topology {
             m,
+            index: vec![LevelIndex::new(&blocks)],
             levels: vec![Level {
                 name: "machine".to_string(),
-                blocks: vec![ProcSet::full(m)],
+                blocks,
             }],
         }
     }
@@ -115,16 +235,25 @@ impl Topology {
     /// A uniform hierarchy from per-level arities, coarsest first:
     /// `[64, 2, 32]` is 64 nodes × 2 sockets × 32 cores (m = 4096),
     /// with blocks as consecutive index ranges. Level names default to
-    /// `node`/`socket`/`core` (then `level3`, …).
+    /// `node`/`socket`/`core` (then `level3`, …). Specs expanding to more
+    /// than [`MAX_SPEC_BLOCKS`] blocks in total are refused up front.
     pub fn uniform(arities: &[u64]) -> Result<Topology, TopologyError> {
         if arities.is_empty() || arities.contains(&0) {
             return Err(TopologyError::Empty);
         }
         let mut m = 1u64;
+        let mut total_blocks = 0u64;
         for &a in arities {
             m = m
                 .checked_mul(a)
                 .ok_or_else(|| TopologyError::BadSpec("arity product overflows u64".into()))?;
+            total_blocks = total_blocks.saturating_add(m);
+        }
+        if total_blocks > MAX_SPEC_BLOCKS {
+            return Err(TopologyError::TooManyBlocks {
+                blocks: total_blocks,
+                limit: MAX_SPEC_BLOCKS,
+            });
         }
         let mut levels = Vec::with_capacity(arities.len());
         let mut blocks_so_far = 1u64;
@@ -143,48 +272,48 @@ impl Topology {
         Topology::from_levels(m, levels)
     }
 
-    /// Build from explicit levels, validating every invariant.
+    /// Build from explicit levels, validating every invariant and
+    /// indexing every level. Each level costs one sort of its ranges and
+    /// one pass over them; nesting costs one parent lookup per child
+    /// range. The first violation, in level order, is the error.
     pub fn from_levels(m: u64, levels: Vec<Level>) -> Result<Topology, TopologyError> {
         if m == 0 || levels.is_empty() {
             return Err(TopologyError::Empty);
         }
-        let full = ProcSet::full(m);
+        let mut index = Vec::with_capacity(levels.len());
         for level in &levels {
             if level.blocks.is_empty() || level.blocks.iter().any(ProcSet::is_empty) {
                 return Err(TopologyError::Empty);
             }
-            let mut union = ProcSet::new();
-            let mut total = 0u64;
-            for block in &level.blocks {
-                total = total.saturating_add(block.size());
-                union = union.union(block);
-            }
-            // Disjointness + coverage in one check: the union equals the
-            // machine iff total size matches (no overlap) and covers it.
-            if total != m || union != full {
-                return Err(TopologyError::NotAPartition {
-                    level: level.name.clone(),
-                });
-            }
+            let level_index = LevelIndex::new(&level.blocks);
             let sorted = level.blocks.windows(2).all(|w| w[0].min() < w[1].min());
-            if !sorted {
+            if !level_index.tiles(m) || !sorted {
                 return Err(TopologyError::NotAPartition {
                     level: level.name.clone(),
                 });
             }
+            index.push(level_index);
         }
-        for pair in levels.windows(2) {
-            let (parent, child) = (&pair[0], &pair[1]);
-            for block in &child.blocks {
-                let inside_one = parent.blocks.iter().any(|p| p.is_superset(block));
-                if !inside_one {
-                    return Err(TopologyError::StraddlesParent {
-                        level: child.name.clone(),
-                    });
-                }
+        for (pair, parent) in levels.windows(2).zip(&index) {
+            let child = &pair[1];
+            // A block's ranges are non-adjacent, so two touching parent
+            // ranges belong to different blocks: a child block nests iff
+            // every one of its ranges fits inside one parent range, and
+            // all those ranges belong to the same parent block.
+            let nests = |block: &ProcSet| {
+                let mut host = None;
+                block.ranges().iter().all(|&(lo, hi)| {
+                    let (_, parent_hi, b) = parent.ranges[parent.position(lo)];
+                    hi <= parent_hi && *host.get_or_insert(b) == b
+                })
+            };
+            if !child.blocks.iter().all(nests) {
+                return Err(TopologyError::StraddlesParent {
+                    level: child.name.clone(),
+                });
             }
         }
-        Ok(Topology { m, levels })
+        Ok(Topology { m, levels, index })
     }
 
     /// Parse a spec string: either arities `"64*2*32"` (uniform tree,
@@ -303,13 +432,27 @@ impl Topology {
     }
 
     /// How many blocks at level `index` the set touches — the locality
-    /// score (1 = fully packed inside one block). Empty sets span 0.
+    /// score (1 = fully packed inside one block). Empty sets span 0, and
+    /// processors at or past `m` touch no block. Costs two binary
+    /// searches per fragment of `procs` plus a sort of the touched block
+    /// ids, whatever the block count.
     pub fn span_blocks(&self, index: usize, procs: &ProcSet) -> u64 {
-        self.levels[index]
-            .blocks
-            .iter()
-            .filter(|b| !b.is_disjoint(procs))
-            .count() as u64
+        self.index[index].span(procs, &mut Vec::new())
+    }
+
+    /// Call `f(block, lo, hi)` for every maximal piece `[lo, hi]` of
+    /// `procs` inside one block of level `index` (`block` indexes
+    /// [`Level::blocks`]), in increasing `lo` order. A block with several
+    /// ranges can receive several pieces. Costs two binary searches per
+    /// fragment plus one call per piece; processors at or past `m` are
+    /// skipped.
+    pub fn split_by_block(
+        &self,
+        index: usize,
+        procs: &ProcSet,
+        f: impl FnMut(usize, u64, u64),
+    ) {
+        self.index[index].split(procs, f)
     }
 
     /// Feed the tree's full structure — `m`, level names, every block's
@@ -335,15 +478,16 @@ impl Topology {
 
     /// Per-placement fragmentation metrics at every level.
     pub fn fragmentation(&self, placement: &Placement) -> FragmentationReport {
+        let mut scratch = Vec::new();
         let levels = self
             .levels
             .iter()
-            .enumerate()
-            .map(|(i, level)| {
+            .zip(&self.index)
+            .map(|(level, index)| {
                 let mut total = 0u64;
                 let mut max = 0u64;
                 for p in &placement.jobs {
-                    let span = self.span_blocks(i, &p.procs);
+                    let span = index.span(&p.procs, &mut scratch);
                     total += span;
                     max = max.max(span);
                 }
@@ -526,6 +670,11 @@ mod tests {
         assert!(e.to_string().contains("core"));
         assert!(TopologyError::Empty.to_string().contains("at least one"));
         assert!(TopologyError::BadSpec("x".into()).to_string().contains("x"));
+        let e = TopologyError::TooManyBlocks {
+            blocks: 9,
+            limit: 4,
+        };
+        assert!(e.to_string().contains("9 blocks"), "{e}");
     }
 
     #[test]
@@ -580,6 +729,71 @@ mod tests {
     }
 
     #[test]
+    fn span_blocks_dedups_multi_range_blocks() {
+        // Two interleaved blocks, two ranges each: 0-1,4-5 | 2-3,6-7.
+        let t = Topology::parse("0-1,4-5|2-3,6-7").unwrap();
+        assert_eq!(t.span_blocks(0, &ProcSet::full(8)), 2);
+        assert_eq!(t.span_blocks(0, &ProcSet::from_ranges([(1, 1), (5, 5)])), 1);
+        assert_eq!(t.span_blocks(0, &ProcSet::from_ranges([(0, 0), (4, 4)])), 1);
+        assert_eq!(t.span_blocks(0, &ProcSet::range(3, 4)), 2);
+        // Processors past m belong to no block.
+        assert_eq!(t.span_blocks(0, &ProcSet::range(8, 20)), 0);
+        assert_eq!(t.span_blocks(0, &ProcSet::range(7, 20)), 1);
+        // Two fragments inside one range count that block once.
+        let u = Topology::uniform(&[2, 2, 2]).unwrap();
+        assert_eq!(u.span_blocks(0, &ProcSet::from_ranges([(0, 0), (2, 3)])), 1);
+        assert_eq!(u.span_blocks(0, &ProcSet::range(0, 100)), 2);
+        assert_eq!(Topology::flat(4).span_blocks(0, &ProcSet::range(1, 2)), 1);
+    }
+
+    #[test]
+    fn split_by_block_cuts_sets_at_block_ranges() {
+        let t = Topology::parse("0-1,4-5|2-3,6-7").unwrap();
+        let mut pieces = Vec::new();
+        t.split_by_block(0, &ProcSet::from_ranges([(1, 4), (7, 9)]), |b, lo, hi| {
+            pieces.push((b, lo, hi))
+        });
+        assert_eq!(pieces, [(0, 1, 1), (1, 2, 3), (0, 4, 4), (1, 7, 7)]);
+    }
+
+    #[test]
+    fn uniform_refuses_specs_that_expand_past_the_block_cap() {
+        // 2^28 nodes × 2: a 12-byte spec asking for ~8 · 10^8 blocks is
+        // refused before a single block is built.
+        let err = Topology::parse("268435456*2").unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::TooManyBlocks {
+                blocks: 268_435_456 + 536_870_912,
+                limit: MAX_SPEC_BLOCKS,
+            }
+        );
+        assert!(err.to_string().contains("805306368 blocks"), "{err}");
+        // The cap counts every level: 65536 nodes plus 2^20 cores is
+        // 65536 blocks over it. One level one block past the cap fails.
+        assert_eq!(
+            Topology::parse("65536*16").unwrap_err(),
+            TopologyError::TooManyBlocks {
+                blocks: 65_536 + (1 << 20),
+                limit: MAX_SPEC_BLOCKS,
+            }
+        );
+        assert!(matches!(
+            Topology::parse("1048577"),
+            Err(TopologyError::TooManyBlocks { .. })
+        ));
+        // 65536 + 65536 · 15 is exactly the cap, and validates in linear
+        // time: one lookup per core block, not one scan of every node
+        // block.
+        let t = Topology::parse("65536*15").unwrap();
+        assert_eq!(t.m(), 983_040);
+        assert_eq!(t.levels()[0].blocks.len(), 65_536);
+        assert_eq!(t.levels()[1].blocks.len(), 983_040);
+        assert_eq!(t.span_blocks(0, &ProcSet::range(14, 15)), 2);
+        assert_eq!(Topology::parse("1048576").unwrap().m(), 1 << 20);
+    }
+
+    #[test]
     fn fragmentation_aggregates_spans() {
         let t = Topology::uniform(&[2, 4]).unwrap();
         let mut p = Placement::new();
@@ -607,6 +821,7 @@ mod tests {
         };
         let spec = Topology::parse("2*2").unwrap();
         let explicit = Topology::parse("0-1|2-3;0|1|2|3").unwrap();
+        assert_eq!(spec, explicit);
         assert_eq!(digest(&spec), digest(&explicit));
         assert_ne!(digest(&spec), digest(&Topology::parse("4*1").unwrap()));
         assert_ne!(digest(&spec), digest(&Topology::flat(4)));

@@ -159,69 +159,17 @@ fn choose_packed(
     choose_flat(free, width)
 }
 
-/// Precomputed flat view of one level's blocks: every `(lo, hi)` range
-/// of every block, sorted by start — a level's ranges partition `0..m`
-/// by the topology invariants. Built once per lowering pass; backs the
-/// [`SpreadCounts`] bookkeeping that replaced one
-/// [`ProcSet::intersect`] per block per job (the cost that made spread
-/// lowering ~30× slower than flat at m = 4096).
-struct BlockIndex {
-    /// Number of blocks at the level.
-    blocks: usize,
-    /// `(lo, hi, block)` for every range of every block, sorted by `lo`.
-    ranges: Vec<(u64, u64, usize)>,
-}
-
-impl BlockIndex {
-    fn new(topology: &Topology, level: usize) -> BlockIndex {
-        let blocks = &topology.levels()[level].blocks;
-        let mut ranges: Vec<(u64, u64, usize)> = Vec::new();
-        for (b, set) in blocks.iter().enumerate() {
-            for &(lo, hi) in set.ranges() {
-                ranges.push((lo, hi, b));
-            }
-        }
-        ranges.sort_unstable_by_key(|&(lo, _, _)| lo);
-        BlockIndex {
-            blocks: blocks.len(),
-            ranges,
-        }
-    }
-
-    /// Call `f(block, lo, hi)` for every maximal piece of `procs`
-    /// inside one block's range — one pass over `procs`'s fragments,
-    /// O(fragments + blocks spanned).
-    fn split(&self, procs: &ProcSet, mut f: impl FnMut(usize, u64, u64)) {
-        let mut j = 0usize;
-        for &(flo, fhi) in procs.ranges() {
-            while self.ranges[j].1 < flo {
-                j += 1;
-            }
-            let mut cur = flo;
-            let mut jj = j;
-            while cur <= fhi {
-                let (_, bhi, b) = self.ranges[jj];
-                let piece_hi = fhi.min(bhi);
-                f(b, cur, piece_hi);
-                if piece_hi == fhi {
-                    break;
-                }
-                cur = piece_hi + 1;
-                jj += 1;
-            }
-        }
-    }
-}
-
 /// The spread strategy's view of the free set: one [`ProcSet`] per
 /// block of the level, maintained in lockstep with the sweep (one
-/// [`BlockIndex::split`] walk per claim and release). Spread's
+/// [`Topology::split_by_block`] walk per claim and release). Spread's
 /// round-robin holes fragment a *global* free set into one range per
 /// busy processor — O(busy) work per union/subtract — while each
 /// block-local set stays compact, so claims and releases cost
 /// O(local fragments) and empty blocks are skipped in O(1).
-struct SpreadState {
-    index: BlockIndex,
+struct SpreadState<'t> {
+    topology: &'t Topology,
+    /// The level whose blocks jobs are spread across.
+    level: usize,
     /// Free processors inside each block; `free ∩ block`, exactly.
     per_block: Vec<ProcSet>,
     /// Total free processors across all blocks.
@@ -230,11 +178,12 @@ struct SpreadState {
     nonzero: usize,
 }
 
-impl SpreadState {
-    fn new(topology: &Topology, level: usize) -> SpreadState {
+impl<'t> SpreadState<'t> {
+    fn new(topology: &'t Topology, level: usize) -> SpreadState<'t> {
         let per_block = topology.levels()[level].blocks.to_vec();
         SpreadState {
-            index: BlockIndex::new(topology, level),
+            topology,
+            level,
             nonzero: per_block.iter().filter(|p| !p.is_empty()).count(),
             free_total: per_block.iter().map(|p| p.size()).sum(),
             per_block,
@@ -243,12 +192,13 @@ impl SpreadState {
 
     fn release(&mut self, procs: &ProcSet) {
         let SpreadState {
-            index,
+            topology,
+            level,
             per_block,
             free_total,
             nonzero,
         } = self;
-        index.split(procs, |b, lo, hi| {
+        topology.split_by_block(*level, procs, |b, lo, hi| {
             if per_block[b].is_empty() {
                 *nonzero += 1;
             }
@@ -259,12 +209,13 @@ impl SpreadState {
 
     fn claim(&mut self, procs: &ProcSet) {
         let SpreadState {
-            index,
+            topology,
+            level,
             per_block,
             free_total,
             nonzero,
         } = self;
-        index.split(procs, |b, lo, hi| {
+        topology.split_by_block(*level, procs, |b, lo, hi| {
             per_block[b] = per_block[b].subtract(&ProcSet::range(lo, hi));
             if per_block[b].is_empty() {
                 *nonzero -= 1;
@@ -283,7 +234,7 @@ fn choose_spread(width: u64, state: &SpreadState, cursor: usize) -> Option<ProcS
     if state.free_total < width {
         return None;
     }
-    let k = state.index.blocks;
+    let k = state.per_block.len();
     let mut need = width;
     let mut chosen_ranges: Vec<(u64, u64)> = Vec::new();
     let mut leftovers: Vec<ProcSet> = Vec::new();

@@ -606,8 +606,10 @@ pub fn solve_reply(
         "ratio_bound": outcome.ratio_bound.as_ref().map(Ratio::to_f64),
         "opt_lower_bound": outcome.lower_bound,
         "probes": outcome.probes,
-        "assignments": assignment_rows(instance, &outcome.schedule),
     });
+    // Pushed, not nested in `json!`, which would clone every row.
+    let assignments = assignment_rows(instance, &outcome.schedule);
+    push_field(&mut reply, "assignments", assignments);
     push_placements(&mut reply, sr, &outcome.schedule);
     push_topology(&mut reply, sr);
     push_fragmentation(&mut reply, sr, &outcome.schedule);
@@ -788,13 +790,13 @@ pub fn assignment_rows(inst: &Instance, s: &moldable_sched::Schedule) -> Value {
         s.assignments
             .iter()
             .map(|a| {
-                json!({
-                    "job": a.job,
-                    "start_num": a.start.num().to_string(),
-                    "start_den": a.start.den().to_string(),
-                    "procs": a.procs,
-                    "duration": inst.job(a.job).time(a.procs),
-                })
+                row([
+                    ("job", a.job.into()),
+                    ("start_num", a.start.num().to_string().into()),
+                    ("start_den", a.start.den().to_string().into()),
+                    ("procs", a.procs.into()),
+                    ("duration", inst.job(a.job).time(a.procs).into()),
+                ])
             })
             .collect(),
     )
@@ -813,18 +815,15 @@ pub fn placement_rows_on(placement: &Placement, topology: Option<&Topology>) -> 
             .jobs
             .iter()
             .map(|p| {
-                let mut row = json!({
-                    "job": p.job,
-                    "start_num": p.start.num().to_string(),
-                    "start_den": p.start.den().to_string(),
-                    "end_num": p.end.num().to_string(),
-                    "end_den": p.end.den().to_string(),
-                    "procs": p.procs
-                        .ranges()
-                        .iter()
-                        .map(|&(lo, hi)| json!([lo, hi]))
-                        .collect::<Vec<Value>>(),
-                });
+                let procs = p.procs.ranges().iter().map(|&(lo, hi)| json!([lo, hi]));
+                let mut row = row([
+                    ("job", p.job.into()),
+                    ("start_num", p.start.num().to_string().into()),
+                    ("start_den", p.start.den().to_string().into()),
+                    ("end_num", p.end.num().to_string().into()),
+                    ("end_den", p.end.den().to_string().into()),
+                    ("procs", procs.collect()),
+                ]);
                 if let Some(t) = topology {
                     let locality: Vec<(String, Value)> = t
                         .levels()
@@ -838,6 +837,18 @@ pub fn placement_rows_on(placement: &Placement, topology: Option<&Topology>) -> 
                 }
                 row
             })
+            .collect(),
+    )
+}
+
+/// One reply row from owned values. `json!` renders every value through
+/// a reference, cloning each string and array it is handed; the per-job
+/// rows move theirs in instead.
+fn row<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
             .collect(),
     )
 }
@@ -1186,6 +1197,37 @@ mod tests {
         assert_eq!(resp.status, 400, "{}", body_text(&resp));
         assert!(body_text(&resp).contains("covers 4 processors"));
         assert!(body_text(&resp).contains("m = 64"));
+    }
+
+    #[test]
+    fn huge_topology_specs_cannot_take_a_worker_down() {
+        let app = app();
+        let solve = |spec: &str| {
+            let body = format!(r#"{{"instance": {INSTANCE}, "topology": "{spec}"}}"#);
+            let t0 = std::time::Instant::now();
+            let resp = app.respond_parts("POST", "/v1/solve", body.as_bytes());
+            (resp, t0.elapsed())
+        };
+        // 2^28 × 2 asks for ~8 · 10^8 blocks in a ~100-byte body, and
+        // 65536 × 16 for ~1.1 · 10^6: both are refused as a typed 400
+        // before a single block is allocated.
+        for (spec, blocks) in [("268435456*2", 805_306_368), ("65536*16", 1_114_112)] {
+            let (resp, _) = solve(spec);
+            assert_eq!(resp.status, 400, "{}", body_text(&resp));
+            let v = json_of(&resp);
+            assert_eq!(v["error"]["kind"].as_str(), Some("bad-request"));
+            let detail = v["error"]["detail"].as_str().unwrap();
+            let want = format!("{blocks} blocks, more than the 1048576 allowed");
+            assert!(detail.contains(&want), "{v:?}");
+        }
+        // A 7-byte spec exactly at the cap builds 2^20 blocks, validates
+        // in linear time, and is then refused for not covering the
+        // instance. The bound turns a return to a per-block scan into a
+        // failure instead of a hang.
+        let (resp, took) = solve("1048576");
+        assert_eq!(resp.status, 400, "{}", body_text(&resp));
+        assert!(body_text(&resp).contains("covers 1048576 processors"));
+        assert!(took < std::time::Duration::from_secs(30), "took {took:?}");
     }
 
     #[test]

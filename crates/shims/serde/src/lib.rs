@@ -19,6 +19,8 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
+
 mod value;
 
 pub use value::{Number, Value};
@@ -51,6 +53,13 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Render `self` as a [`Value`] tree.
     fn to_value(&self) -> Value;
+
+    /// `self` as a [`Value`] tree, borrowed when it already is one: the
+    /// JSON printers walk the result in place, so printing a `Value`
+    /// never deep-clones it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Types that can be rebuilt from the [`Value`] data model.
@@ -159,6 +168,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -204,6 +217,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -277,6 +294,14 @@ mod tests {
         );
         let v: Vec<(u64, u64)> = vec![(1, 900), (4, 700)];
         assert_eq!(Vec::<(u64, u64)>::from_value(&v.to_value()).unwrap(), v);
+    }
+
+    #[test]
+    fn values_are_borrowed_not_rendered() {
+        let v = Value::Array(vec![Value::Bool(true)]);
+        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!((&&v).as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!(7u64.as_value(), Cow::Owned(Value::Number(_))));
     }
 
     #[test]

@@ -30,12 +30,12 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
 /// Infallible for this shim's data model; the `Result` matches the real
 /// `serde_json` signature so call sites are source-compatible.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(print::compact(&value.to_value()))
+    Ok(print::compact(&value.as_value()))
 }
 
 /// Serialize to human-readable JSON text (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(print::pretty(&value.to_value()))
+    Ok(print::pretty(&value.as_value()))
 }
 
 /// Parse JSON text and rebuild a value from it.
@@ -106,6 +106,24 @@ mod tests {
         let back: Value = from_str(&to_string(&original).unwrap()).unwrap();
         assert_eq!(original, back);
         assert_eq!(back["s"].as_str(), Some("γ_j(t) ≤ ω — 🦀"));
+    }
+
+    #[test]
+    fn prints_escapes_and_numbers_exactly() {
+        let v = json!({
+            "s": "a\"b\\c\n\r\t\u{1}\u{1f}γ🦀 ",
+            "u": u128::MAX,
+            "zero": 0u64,
+            "u64": u64::MAX,
+            "i": -12i64,
+            "f": 2.5f64,
+            "whole": 3.0f64,
+            "nan": f64::NAN,
+        });
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"s":"a\"b\\c\n\r\t\u0001\u001fγ🦀 ","u":340282366920938463463374607431768211455,"zero":0,"u64":18446744073709551615,"i":-12,"f":2.5,"whole":3.0,"nan":null}"#
+        );
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Compact and pretty JSON printers for [`Value`] trees.
+//! Compact and pretty JSON printers for [`Value`] trees, written
+//! straight into one output buffer.
+
+use std::fmt::Write;
 
 use serde::Value;
 
@@ -21,7 +24,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Number(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
         Value::String(s) => write_string(out, s),
         Value::Array(elems) => {
             if elems.is_empty() {
