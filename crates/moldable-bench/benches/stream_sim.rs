@@ -1,23 +1,17 @@
 //! Scaling of the streaming event-driven simulator on Lublin–Feitelson
 //! model streams: generator throughput alone, the full event loop at
-//! increasing job counts, and the event engine head-to-head against the
-//! materializing epoch scheme at a size both can hold.
+//! increasing job counts, fair-share against FIFO, and the uncapped
+//! epoch discipline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::ratio::Ratio;
 use moldable_sched::solver::solver_by_name;
-use moldable_sim::{
-    run_epochs_solver, run_stream, ArrivingJob, FairshareOptions, StreamJob, StreamOptions,
-};
+use moldable_sim::{run_stream, FairshareOptions, StreamJob, StreamOptions};
 use moldable_workloads::{LublinGenerator, LublinParams};
 use std::time::Duration;
 
 fn stream_of(params: &LublinParams) -> impl Iterator<Item = StreamJob> {
-    LublinGenerator::new(params.clone()).map(|(arrival, curve, user)| StreamJob {
-        curve,
-        arrival,
-        user,
-    })
+    LublinGenerator::new(params.clone()).map(StreamJob::from)
 }
 
 fn bench_stream_sim(c: &mut Criterion) {
@@ -69,14 +63,9 @@ fn bench_stream_sim(c: &mut Criterion) {
         },
     );
 
-    // Head-to-head at a size the epoch scheme comfortably materializes.
+    // No batch cap: every re-plan plans the whole queue, the exact epoch
+    // discipline.
     let params = LublinParams::new(256, 4_000, 7);
-    let materialized: Vec<ArrivingJob> = LublinGenerator::new(params.clone())
-        .map(|(arrival, curve, _)| ArrivingJob { curve, arrival })
-        .collect();
-    group.bench_function("epoch-engine/4000", |b| {
-        b.iter(|| run_epochs_solver(&materialized, params.m, solver.as_ref()).unwrap())
-    });
     group.bench_function("event-engine-unbounded/4000", |b| {
         b.iter(|| {
             run_stream(

@@ -176,6 +176,14 @@ pub enum TopologyError {
         /// The cap, [`MAX_SPEC_BLOCKS`].
         limit: u64,
     },
+    /// A topology has more levels than [`MAX_SPEC_LEVELS`] — refused
+    /// before any level is built.
+    TooManyLevels {
+        /// Levels the topology asks for.
+        levels: usize,
+        /// The cap, [`MAX_SPEC_LEVELS`].
+        limit: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -195,6 +203,10 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyBlocks { blocks, limit } => write!(
                 f,
                 "topology spec expands to {blocks} blocks, more than the {limit} allowed"
+            ),
+            TopologyError::TooManyLevels { levels, limit } => write!(
+                f,
+                "topology has {levels} levels, more than the {limit} allowed"
             ),
         }
     }
@@ -216,6 +228,24 @@ const SPEC_LEVEL_NAMES: [&str; 3] = ["node", "socket", "core"];
 /// `"268435456*2"` is refused instead of allocating gigabytes.
 pub const MAX_SPEC_BLOCKS: u64 = 1 << 20;
 
+/// Most levels a topology may have. Every placement row carries one
+/// locality entry per level, and the block cap does not bound depth: a
+/// level of one block (`"1*1*…*1"`) costs one block. Arities all ≥ 2
+/// pass [`MAX_SPEC_BLOCKS`] beyond 19 levels, so only padded specs meet
+/// this cap; every constructor checks it before building a level.
+pub const MAX_SPEC_LEVELS: usize = 64;
+
+/// Refuse a level count past [`MAX_SPEC_LEVELS`].
+fn check_depth(levels: usize) -> Result<(), TopologyError> {
+    if levels > MAX_SPEC_LEVELS {
+        return Err(TopologyError::TooManyLevels {
+            levels,
+            limit: MAX_SPEC_LEVELS,
+        });
+    }
+    Ok(())
+}
+
 impl Topology {
     /// The trivial one-level hierarchy: a single `"machine"` block
     /// covering `0..m`. Lowering onto it reproduces the flat placement
@@ -235,12 +265,14 @@ impl Topology {
     /// A uniform hierarchy from per-level arities, coarsest first:
     /// `[64, 2, 32]` is 64 nodes × 2 sockets × 32 cores (m = 4096),
     /// with blocks as consecutive index ranges. Level names default to
-    /// `node`/`socket`/`core` (then `level3`, …). Specs expanding to more
-    /// than [`MAX_SPEC_BLOCKS`] blocks in total are refused up front.
+    /// `node`/`socket`/`core` (then `level3`, …). Specs deeper than
+    /// [`MAX_SPEC_LEVELS`] or expanding to more than [`MAX_SPEC_BLOCKS`]
+    /// blocks in total are refused up front.
     pub fn uniform(arities: &[u64]) -> Result<Topology, TopologyError> {
         if arities.is_empty() || arities.contains(&0) {
             return Err(TopologyError::Empty);
         }
+        check_depth(arities.len())?;
         let mut m = 1u64;
         let mut total_blocks = 0u64;
         for &a in arities {
@@ -273,13 +305,15 @@ impl Topology {
     }
 
     /// Build from explicit levels, validating every invariant and
-    /// indexing every level. Each level costs one sort of its ranges and
-    /// one pass over them; nesting costs one parent lookup per child
-    /// range. The first violation, in level order, is the error.
+    /// indexing every level; more than [`MAX_SPEC_LEVELS`] levels are
+    /// refused before any is indexed. Each level costs one sort of its
+    /// ranges and one pass over them; nesting costs one parent lookup
+    /// per child range. The first violation, in level order, is the error.
     pub fn from_levels(m: u64, levels: Vec<Level>) -> Result<Topology, TopologyError> {
         if m == 0 || levels.is_empty() {
             return Err(TopologyError::Empty);
         }
+        check_depth(levels.len())?;
         let mut index = Vec::with_capacity(levels.len());
         for level in &levels {
             if level.blocks.is_empty() || level.blocks.iter().any(ProcSet::is_empty) {
@@ -327,6 +361,7 @@ impl Topology {
         }
         if spec.contains('|') || spec.contains(';') || spec.contains('-') || spec.contains(',')
         {
+            check_depth(spec.split(';').count())?;
             let mut levels = Vec::new();
             for (depth, group) in spec.split(';').enumerate() {
                 let name = SPEC_LEVEL_NAMES
@@ -791,6 +826,23 @@ mod tests {
         assert_eq!(t.levels()[1].blocks.len(), 983_040);
         assert_eq!(t.span_blocks(0, &ProcSet::range(14, 15)), 2);
         assert_eq!(Topology::parse("1048576").unwrap().m(), 1 << 20);
+    }
+
+    #[test]
+    fn depth_is_capped_in_both_spellings() {
+        let arity = |levels: usize| vec!["1"; levels].join("*");
+        let explicit = |levels: usize| vec!["0-1"; levels].join(";");
+        let refused = TopologyError::TooManyLevels {
+            levels: 65,
+            limit: MAX_SPEC_LEVELS,
+        };
+        assert_eq!(Topology::parse(&arity(65)).unwrap_err(), refused);
+        assert_eq!(Topology::parse(&explicit(65)).unwrap_err(), refused);
+        assert!(refused.to_string().contains("65 levels"), "{refused}");
+        let deep = Topology::parse(&arity(64)).unwrap();
+        assert_eq!((deep.m(), deep.levels().len()), (1, 64));
+        let deep = Topology::parse(&explicit(64)).unwrap();
+        assert_eq!((deep.m(), deep.levels().len()), (2, 64));
     }
 
     #[test]

@@ -137,10 +137,9 @@ pub enum SimError {
         /// How many jobs the plan left out.
         count: usize,
     },
-    /// An arrival stream fed to the epoch scheme or the streaming engine
-    /// was not sorted by arrival time. Raw traces reach these entry
-    /// points from library callers, so this is a typed error, not a
-    /// panic.
+    /// An arrival stream fed to the streaming engine was not sorted by
+    /// arrival time. Raw traces reach it from library callers, so this
+    /// is a typed error, not a panic.
     UnsortedStream {
         /// Index of the first out-of-order job (its arrival precedes its
         /// predecessor's).
@@ -178,7 +177,7 @@ impl fmt::Display for SimError {
             SimError::UnsortedStream { index } => write!(
                 f,
                 "arrival stream not sorted: job {index} arrives before its predecessor \
-                 (sort the stream, e.g. via TraceReplay::new)"
+                 (sort the stream by arrival first)"
             ),
             SimError::TopologyMismatch { topology_m, m } => write!(
                 f,

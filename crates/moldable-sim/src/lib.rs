@@ -18,15 +18,13 @@
 //!   free (the Garey–Graham discipline used by the paper's estimator);
 //! * [`backfill`] — conservative EASY backfilling against the head job's
 //!   reservation, the production-HPC refinement of plain FIFO;
-//! * [`arrivals`] — epoch-based batch scheduling of an arrival stream
-//!   using any offline planner (the classic online-from-offline scheme),
-//!   plus [`TraceReplay`], the deterministic arrival process that replays
-//!   recorded (e.g. SWF) traces;
-//! * [`stream`] — the streaming, event-driven incarnation of the epoch
-//!   scheme: jobs consumed lazily from an iterator, bounded pending-queue
-//!   snapshots planned through the [`MakespanSolver`] facade, per-job
-//!   observations emitted incrementally — memory `O(pending)`, not
-//!   `O(stream)`, so million-job sources fit;
+//! * [`stream`] — online scheduling of an arrival stream with any
+//!   offline planner, in epochs (the classic online-from-offline
+//!   scheme), as an event-driven engine: jobs consumed lazily from an
+//!   iterator, bounded pending-queue snapshots planned through the
+//!   [`MakespanSolver`] facade, per-job observations emitted
+//!   incrementally — memory `O(pending)`, not `O(stream)`, so
+//!   million-job sources and recorded (e.g. SWF) traces run alike;
 //! * [`trace`] — per-processor timelines, utilization statistics, and
 //!   machine-load profiles;
 //! * [`metrics`] — aggregate statistics (utilization, average waiting time,
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arrivals;
 pub mod backfill;
 pub mod engine;
 pub mod executor;
@@ -54,20 +51,16 @@ pub mod online;
 pub mod stream;
 pub mod trace;
 
-pub use arrivals::{
-    clairvoyant_lower_bound, run_epochs, run_epochs_solver, ArrivingJob, Epoch, EpochOutcome,
-    TraceReplay,
-};
 pub use backfill::{backfill_schedule, BackfillOutcome};
 pub use engine::{Event, EventKind, SimError};
 pub use executor::{execute, Execution};
 pub use metrics::{
-    observations_from_epochs, ClusterMetrics, FairnessReport, JobMetrics, JobObservation,
-    RunningFairness, RunningSum, UserFairness,
+    ClusterMetrics, FairnessReport, JobMetrics, JobObservation, RunningFairness, RunningSum,
+    UserFairness,
 };
 pub use online::{online_list_schedule, OnlineOutcome};
 pub use stream::{
-    run_stream, FairshareOptions, LevelTrend, StreamFragmentation, StreamJob, StreamOptions,
-    StreamOutcome,
+    clairvoyant_lower_bound, run_stream, EpochRow, EpochTable, FairshareOptions, LevelTrend,
+    StreamFragmentation, StreamJob, StreamOptions, StreamOutcome,
 };
 pub use trace::{ProcessorTimeline, Segment, Trace};

@@ -95,7 +95,7 @@ impl ClusterMetrics {
 /// it arrived and finished, its *ideal* processing time (the fastest the
 /// cluster could ever run it, `t_j(m)` — the stretch denominator), and
 /// its weight (sequential work `w_j(1)`, the weighted-flow weight).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobObservation {
     /// Submitting user (SWF user id; `-1` when unknown).
     pub user: i64,
@@ -111,6 +111,8 @@ pub struct JobObservation {
     /// batch schedule carried a placement layer (`None` for planners
     /// that emit allotments only).
     pub placed: Option<moldable_core::procset::ProcSet>,
+    /// Index of the planning epoch (re-plan) that ran the job, from 0.
+    pub epoch: u64,
 }
 
 impl JobObservation {
@@ -128,7 +130,7 @@ impl JobObservation {
 }
 
 /// Per-user fairness summary.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UserFairness {
     /// The user.
     pub user: i64,
@@ -155,7 +157,7 @@ pub struct UserFairness {
 /// below anything a report consumer can see, and — unlike rounding the
 /// running sum itself on every add — it does not compound with stream
 /// length.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FairnessReport {
     /// Largest stretch over all jobs.
     pub max_stretch: Ratio,
@@ -291,34 +293,6 @@ impl RunningFairness {
     }
 }
 
-/// Build fairness observations from an epoch run: `stream` and `users`
-/// are aligned by index (pass `&[]` or all `-1` users when identities
-/// are unknown), `outcome` supplies the per-job completions, `m` the
-/// cluster size for the ideal times.
-pub fn observations_from_epochs(
-    stream: &[crate::arrivals::ArrivingJob],
-    users: &[i64],
-    outcome: &crate::arrivals::EpochOutcome,
-    m: u64,
-) -> Vec<JobObservation> {
-    assert_eq!(stream.len(), outcome.completions.len());
-    stream
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let ideal = a.curve.time(m).max(1);
-            JobObservation {
-                user: users.get(i).copied().unwrap_or(-1),
-                arrival: Ratio::from(a.arrival),
-                completion: outcome.completions[i],
-                ideal_time: Ratio::from(ideal),
-                weight: a.curve.time(1) as u128,
-                placed: outcome.placements.get(i).cloned().flatten(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +353,7 @@ mod tests {
                 ideal_time: Ratio::from(10u64),
                 weight: 100,
                 placed: None,
+                epoch: 0,
             },
             JobObservation {
                 user: 2,
@@ -387,6 +362,7 @@ mod tests {
                 ideal_time: Ratio::from(2u64),
                 weight: 4,
                 placed: None,
+                epoch: 0,
             },
         ];
         let report = FairnessReport::from_observations(&obs);
@@ -415,6 +391,7 @@ mod tests {
                 ideal_time: Ratio::from(i as u64 % 3 + 1),
                 weight: (i as u128 % 11) + 1,
                 placed: None,
+                epoch: 0,
             })
             .collect();
         let buffered = FairnessReport::from_observations(&obs);
@@ -441,40 +418,6 @@ mod tests {
         let report = FairnessReport::from_observations(&[]);
         assert_eq!(report.max_stretch, Ratio::zero());
         assert!(report.users.is_empty());
-    }
-
-    #[test]
-    fn observations_align_with_epoch_completions() {
-        use crate::arrivals::{run_epochs, ArrivingJob};
-        use moldable_sched::ImprovedDual;
-        // Job 0 (user 7) runs [0, 10); job 1 (user 8) arrives at 1,
-        // waits for the epoch, runs [10, 13).
-        let stream = vec![
-            ArrivingJob {
-                curve: SpeedupCurve::Constant(10),
-                arrival: 0,
-            },
-            ArrivingJob {
-                curve: SpeedupCurve::Constant(3),
-                arrival: 1,
-            },
-        ];
-        let eps = Ratio::new(1, 4);
-        let out = run_epochs(&stream, 2, &ImprovedDual::new_linear(eps), &eps).unwrap();
-        assert_eq!(
-            out.completions,
-            vec![Ratio::from(10u64), Ratio::from(13u64)]
-        );
-        let obs = observations_from_epochs(&stream, &[7, 8], &out, 2);
-        assert_eq!(obs[0].user, 7);
-        assert_eq!(obs[0].stretch(), Ratio::one());
-        // Job 1: flow = 13 − 1 = 12, ideal 3 → stretch 4.
-        assert_eq!(obs[1].stretch(), Ratio::from(4u64));
-        let report = FairnessReport::from_observations(&obs);
-        assert_eq!(report.max_stretch, Ratio::from(4u64));
-        // Unknown users default to −1.
-        let anon = observations_from_epochs(&stream, &[], &out, 2);
-        assert!(anon.iter().all(|o| o.user == -1));
     }
 
     #[test]

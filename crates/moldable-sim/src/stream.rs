@@ -1,11 +1,17 @@
-//! Streaming, event-driven simulation of unbounded arrival streams.
+//! Online scheduling of arrival streams: the paper's offline planner run
+//! in epochs, as an event-driven simulation.
 //!
-//! [`crate::arrivals::run_epochs`] is a *batch* front-end: it takes the
-//! whole arrival stream as a slice, keeps every execution trace, and
-//! returns a completion vector indexed by stream position — all `O(n)`
-//! memory, which caps online experiments far below the million-job
-//! regimes of the Feitelson trace literature. This module is the
-//! streaming incarnation of the same epoch discipline:
+//! The paper solves the *offline* problem: all jobs known at time zero. A
+//! cluster front-end faces a stream of arrivals and periodically plans the
+//! accumulated queue. The classic reduction (used by Shmoys–Wein–
+//! Williamson-style arguments) runs the offline algorithm in **epochs**:
+//! collect arrivals while the current batch runs, then plan the queue as a
+//! fresh offline instance and run it to completion. If the offline
+//! algorithm is `c`-approximate, the epoch scheme is `2c`-competitive
+//! against the optimal clairvoyant schedule — each batch finishes within
+//! `c·OPT_batch`, and any batch's optimum is at most the clairvoyant
+//! makespan plus the previous epoch's length. [`run_stream`] is that
+//! scheme, built so its memory tracks the pending set, not the stream:
 //!
 //! * jobs are consumed **lazily** from an iterator (one look-ahead job is
 //!   held at a time), so a generator-backed source never materializes
@@ -21,15 +27,15 @@
 //! * per-job [`JobObservation`]s are emitted **incrementally**, in
 //!   completion-time order, to a caller-supplied sink, and fairness is
 //!   folded online through [`RunningFairness`] — nothing accumulates
-//!   with stream length.
+//!   with stream length. Each observation names its epoch, so a caller
+//!   that wants the per-epoch batching folds it with [`EpochTable`].
 //!
 //! Memory is `O(pending + running + #users)`: the pending queue, the
 //! in-flight batch's events, and the per-user fairness state. With an
-//! unbounded `max_batch` the engine reproduces [`run_epochs`] *exactly* —
-//! same batches, same planner calls, same completion times
-//! (`tests/stream_equivalence.rs` pins this across solvers).
-//!
-//! [`run_epochs`]: crate::arrivals::run_epochs
+//! unbounded `max_batch` every re-plan takes everything that has arrived
+//! by the clock — the exact epoch discipline. `tests/stream_equivalence.rs`
+//! keeps a direct epoch loop as the oracle and pins the engine to it,
+//! completion by completion, across solvers.
 
 use crate::engine::SimError;
 use crate::executor::execute;
@@ -71,9 +77,14 @@ impl StreamJob {
     }
 }
 
-impl From<crate::arrivals::ArrivingJob> for StreamJob {
-    fn from(a: crate::arrivals::ArrivingJob) -> Self {
-        StreamJob::untagged(a.curve, a.arrival)
+/// An `(arrival, curve, user)` item of a workload source's stream.
+impl From<(Time, SpeedupCurve, i64)> for StreamJob {
+    fn from((arrival, curve, user): (Time, SpeedupCurve, i64)) -> Self {
+        StreamJob {
+            curve,
+            arrival,
+            user,
+        }
     }
 }
 
@@ -82,12 +93,10 @@ impl From<crate::arrivals::ArrivingJob> for StreamJob {
 pub struct StreamOptions {
     /// Largest pending-queue snapshot handed to the planner per re-plan
     /// (FIFO prefix; the rest stays queued for the next epoch). `None`
-    /// plans the whole pending set — the exact [`run_epochs`] discipline.
+    /// plans the whole pending set — the exact epoch discipline.
     /// Overloaded streams grow their pending queue without bound either
     /// way; the cap bounds the *planner's* per-epoch cost, which is what
     /// keeps million-job runs tractable.
-    ///
-    /// [`run_epochs`]: crate::arrivals::run_epochs
     pub max_batch: Option<usize>,
     /// Lower every epoch's schedule onto this processor hierarchy
     /// (leaves must cover exactly `m`). The engine then lowers each
@@ -219,7 +228,7 @@ impl StreamFragmentation {
 
 /// Event ranks at equal timestamps. Completions fire first (processors
 /// and statistics settle), then arrivals (a job arriving exactly at an
-/// epoch boundary joins the next batch — the `run_epochs` contract),
+/// epoch boundary joins the next batch, as the epoch discipline asks),
 /// then the re-plan trigger.
 const RANK_DONE: u8 = 0;
 const RANK_ARRIVAL: u8 = 1;
@@ -368,6 +377,9 @@ where
                     ideal_time: Ratio::from(d.ideal),
                     weight: d.weight,
                     placed: d.placed,
+                    // One batch runs at a time: its completions all rank
+                    // before the next re-plan, so this is the latest epoch.
+                    epoch: epochs - 1,
                 };
                 if let Some(fs) = &mut fairshare {
                     // Charge the job's sequential work at completion:
@@ -550,11 +562,86 @@ where
     })
 }
 
+/// One planning epoch of a [`run_stream`] run, as [`EpochTable`] folds it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EpochRow {
+    /// Jobs the epoch planned.
+    pub jobs: u64,
+    /// When the batch was planned: the previous epoch's end, or the
+    /// batch's earliest arrival when the machine had gone idle.
+    pub start: Ratio,
+    /// Completion of the epoch's last job.
+    pub end: Ratio,
+}
+
+/// Per-epoch rows folded from a [`run_stream`] sink through
+/// [`JobObservation::epoch`]. Holds `O(epochs)` state, so it suits trace
+/// replays and examples rather than million-job streams.
+#[derive(Clone, Debug, Default)]
+pub struct EpochTable {
+    /// Per epoch: jobs seen, earliest arrival, latest completion.
+    acc: Vec<(u64, Ratio, Ratio)>,
+}
+
+impl EpochTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        EpochTable::default()
+    }
+
+    /// Fold one completed job into its epoch's row.
+    pub fn observe(&mut self, obs: &JobObservation) {
+        let e = obs.epoch as usize;
+        if self.acc.len() <= e {
+            self.acc.resize(e + 1, (0, Ratio::zero(), Ratio::zero()));
+        }
+        let (jobs, first, end) = &mut self.acc[e];
+        if *jobs == 0 || obs.arrival < *first {
+            *first = obs.arrival;
+        }
+        *end = (*end).max(obs.completion);
+        *jobs += 1;
+    }
+
+    /// The rows in epoch order: one per [`StreamOutcome::epochs`] after a
+    /// whole run, since every epoch plans at least one job.
+    pub fn rows(&self) -> Vec<EpochRow> {
+        let mut previous_end = Ratio::zero();
+        self.acc
+            .iter()
+            .map(|&(jobs, first, end)| {
+                let start = previous_end.max(first);
+                previous_end = end;
+                EpochRow { jobs, start, end }
+            })
+            .collect()
+    }
+}
+
+/// Lower bound on the clairvoyant optimum of an arrival stream: the best
+/// possible completion is at least the last arrival plus that job's
+/// fastest processing time, and at least the offline bound of the whole
+/// job set released at once.
+pub fn clairvoyant_lower_bound(stream: &[StreamJob], m: Procs) -> Ratio {
+    let release = |j: &StreamJob| Ratio::from(j.arrival).add(&Ratio::from(j.curve.time(m)));
+    let Some(release_bound) = stream.iter().map(release).max() else {
+        return Ratio::zero();
+    };
+    let jobs: Vec<Job> = stream
+        .iter()
+        .enumerate()
+        .map(|(i, j)| Job::new(i as JobId, j.curve.clone()))
+        .collect();
+    let inst = Instance::from_jobs(jobs, m);
+    let offline = Ratio::from(moldable_core::bounds::parametric_lower_bound(&inst));
+    release_bound.max(offline)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{run_epochs_solver, ArrivingJob};
-    use moldable_sched::solver::solver_by_name;
+    use moldable_sched::solver::{solver_by_name, DualSolver};
+    use moldable_sched::{DualAlgorithm, ImprovedDual};
 
     fn solver() -> Box<dyn MakespanSolver> {
         solver_by_name("linear", &Ratio::new(1, 4)).unwrap()
@@ -566,18 +653,37 @@ mod tests {
             .collect()
     }
 
-    fn completions(stream: &[StreamJob], m: Procs, opts: &StreamOptions) -> Vec<(u64, Ratio)> {
-        let mut got = Vec::new();
-        run_stream(
-            stream.to_vec(),
-            m,
-            solver().as_ref(),
-            opts,
-            |i, o: &JobObservation| got.push((i, o.completion)),
-        )
+    /// Run `stream`, returning the outcome and the observations in
+    /// stream order.
+    fn observe_all(
+        stream: &[StreamJob],
+        m: Procs,
+        solver: &dyn MakespanSolver,
+        opts: &StreamOptions,
+    ) -> (StreamOutcome, Vec<JobObservation>) {
+        let mut obs: Vec<(u64, JobObservation)> = Vec::new();
+        let out = run_stream(stream.to_vec(), m, solver, opts, |i, o| {
+            obs.push((i, o.clone()))
+        })
         .unwrap();
-        got.sort_by_key(|&(i, _)| i);
-        got
+        obs.sort_by_key(|&(i, _)| i);
+        (out, obs.into_iter().map(|(_, o)| o).collect())
+    }
+
+    /// Unbounded FIFO run with the linear planner.
+    fn observe(stream: &[StreamJob], m: Procs) -> (StreamOutcome, Vec<JobObservation>) {
+        observe_all(stream, m, solver().as_ref(), &StreamOptions::default())
+    }
+
+    fn completions(stream: &[StreamJob], m: Procs, opts: &StreamOptions) -> Vec<Ratio> {
+        let (_, obs) = observe_all(stream, m, solver().as_ref(), opts);
+        obs.iter().map(|o| o.completion).collect()
+    }
+
+    fn epoch_rows(obs: &[JobObservation]) -> Vec<EpochRow> {
+        let mut table = EpochTable::new();
+        obs.iter().for_each(|o| table.observe(o));
+        table.rows()
     }
 
     #[test]
@@ -597,45 +703,94 @@ mod tests {
     }
 
     #[test]
-    fn matches_run_epochs_on_mixed_streams() {
-        // Late arrivals, idle gaps, same-instant bursts — the equivalence
-        // corpus of arrival patterns, checked completion-by-completion.
-        let corpora: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 4), (0, 4), (0, 4), (0, 4)],
-            vec![(0, 10), (1, 3)],
-            vec![(0, 2), (100, 2)],
-            vec![(5, 7), (5, 3), (5, 9), (6, 1), (40, 2), (40, 2)],
-            vec![(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)],
-        ];
-        for spec in corpora {
-            let stream = jobs(&spec);
-            let arriving: Vec<ArrivingJob> = spec
+    fn late_arrival_forms_second_epoch_and_keeps_user_tags() {
+        // Job 0 (user 7) runs [0, 10); job 1 (user 8) arrives at 1 while
+        // epoch 0 runs, waits for it, and runs [10, 13) in epoch 1.
+        let mut stream = jobs(&[(0, 10), (1, 3)]);
+        stream[0].user = 7;
+        stream[1].user = 8;
+        let (out, obs) = observe(&stream, 2);
+        assert_eq!((out.epochs, out.makespan), (2, Ratio::from(13u64)));
+        let rows = epoch_rows(&obs);
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].jobs, rows[1].jobs), (1, 1));
+        assert_eq!(
+            (rows[1].start, rows[1].end),
+            (Ratio::from(10u64), Ratio::from(13u64))
+        );
+        assert_eq!((obs[0].epoch, obs[1].epoch), (0, 1));
+        assert_eq!((obs[0].user, obs[1].user), (7, 8));
+        assert_eq!(obs[0].stretch(), Ratio::one());
+        // Job 1: flow = 13 − 1 = 12, ideal 3 → stretch 4.
+        assert_eq!(obs[1].stretch(), Ratio::from(4u64));
+        // Unknown users stay −1.
+        let (_, anon) = observe(&jobs(&[(0, 10), (1, 3)]), 2);
+        assert!(anon.iter().all(|o| o.user == -1));
+    }
+
+    #[test]
+    fn idle_gap_jumps_to_next_arrival() {
+        let (out, obs) = observe(&jobs(&[(0, 2), (100, 2)]), 2);
+        let rows = epoch_rows(&obs);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].end, Ratio::from(2u64));
+        assert_eq!(rows[1].start, Ratio::from(100u64));
+        assert_eq!(out.makespan, Ratio::from(102u64));
+    }
+
+    #[test]
+    fn competitive_envelope_on_random_streams() {
+        // Epoch scheme with a (3/2+ε)(1+ε) planner: makespan within
+        // 2·c·OPT of the clairvoyant lower bound (generous envelope 2c+1).
+        let mut seed = 0xA881_0001u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let eps = Ratio::new(1, 4);
+        let planner = ImprovedDual::new_linear(eps);
+        let c = planner.guarantee().mul(&eps.one_plus());
+        let solver = DualSolver::new(planner, eps);
+        for trial in 0..10 {
+            let n = 12 + (next() % 8) as usize;
+            let mut arrivals: Vec<u64> = (0..n).map(|_| next() % 60).collect();
+            arrivals.sort_unstable();
+            let s: Vec<StreamJob> = arrivals
                 .iter()
-                .map(|&(arrival, t1)| ArrivingJob {
-                    curve: SpeedupCurve::Constant(t1),
-                    arrival,
-                })
+                .map(|&a| StreamJob::untagged(SpeedupCurve::Constant(next() % 20 + 1), a))
                 .collect();
-            for m in [1u64, 2, 4] {
-                let s = solver();
-                let epoch = run_epochs_solver(&arriving, m, s.as_ref()).unwrap();
-                let got = completions(&stream, m, &StreamOptions::default());
-                assert_eq!(got.len(), epoch.completions.len(), "{spec:?} m={m}");
-                for (i, (idx, c)) in got.iter().enumerate() {
-                    assert_eq!(*idx, i as u64);
-                    assert_eq!(*c, epoch.completions[i], "{spec:?} m={m} job {i}");
-                }
-                let out = run_stream(
-                    stream.clone(),
-                    m,
-                    s.as_ref(),
-                    &StreamOptions::default(),
-                    |_, _| {},
-                )
-                .unwrap();
-                assert_eq!(out.makespan, epoch.makespan, "{spec:?} m={m}");
-                assert_eq!(out.epochs as usize, epoch.epochs.len(), "{spec:?} m={m}");
+            let lb = clairvoyant_lower_bound(&s, 4);
+            let (out, obs) = observe_all(&s, 4, &solver, &StreamOptions::default());
+            let envelope = c.mul_int(2).add(&Ratio::one()).mul(&lb);
+            assert!(
+                out.makespan <= envelope,
+                "trial {trial}: {} > (2c+1)·lb = {}",
+                out.makespan,
+                envelope
+            );
+            // Epochs tile the timeline without overlap.
+            let rows = epoch_rows(&obs);
+            assert_eq!(rows.len() as u64, out.epochs);
+            for w in rows.windows(2) {
+                assert!(w[0].end <= w[1].start);
             }
+        }
+    }
+
+    #[test]
+    fn placements_reach_the_observations() {
+        // The linear planner's three-shelf construction emits a native
+        // placement; every stream job must surface its processor set,
+        // sized to the allotment (constant curves: always 1 machine or
+        // more, never empty).
+        let (_, obs) = observe(&jobs(&[(0, 6), (0, 6), (9, 3)]), 2);
+        assert_eq!(obs.len(), 3);
+        for o in &obs {
+            let set = o.placed.as_ref().expect("every job is placed");
+            assert!(!set.is_empty());
+            assert!(set.max().unwrap() < 2);
         }
     }
 
@@ -704,6 +859,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::UnsortedStream { index: 2 });
+        assert!(err.to_string().contains("not sorted"));
     }
 
     #[test]
@@ -868,21 +1024,12 @@ mod tests {
             user: 1,
         });
         let run = |fairshare: Option<FairshareOptions>| {
-            let mut done: Vec<(u64, Ratio)> = Vec::new();
-            run_stream(
-                stream.clone(),
-                1,
-                solver().as_ref(),
-                &StreamOptions {
-                    max_batch: Some(1),
-                    fairshare,
-                    ..StreamOptions::default()
-                },
-                |i, o: &JobObservation| done.push((i, o.completion)),
-            )
-            .unwrap();
-            done.sort_by_key(|&(i, _)| i);
-            done[8].1
+            let opts = StreamOptions {
+                max_batch: Some(1),
+                fairshare,
+                ..StreamOptions::default()
+            };
+            completions(&stream, 1, &opts)[8]
         };
         let fifo = run(None);
         let fair = run(Some(FairshareOptions { half_life: 1000 }));
@@ -890,41 +1037,5 @@ mod tests {
         // Fair-share schedules user 1 right after the first long job
         // completes (the earliest epoch where user 0 has any history).
         assert_eq!(fair, Ratio::from(11u64));
-    }
-
-    #[test]
-    fn fairness_matches_epoch_observations() {
-        use crate::metrics::observations_from_epochs;
-        let spec = [(0u64, 10u64), (1, 3), (1, 5), (20, 2)];
-        let stream: Vec<StreamJob> = spec
-            .iter()
-            .enumerate()
-            .map(|(i, &(arrival, t1))| StreamJob {
-                curve: SpeedupCurve::Constant(t1),
-                arrival,
-                user: (i % 2) as i64,
-            })
-            .collect();
-        let arriving: Vec<ArrivingJob> = spec
-            .iter()
-            .map(|&(arrival, t1)| ArrivingJob {
-                curve: SpeedupCurve::Constant(t1),
-                arrival,
-            })
-            .collect();
-        let users: Vec<i64> = (0..spec.len()).map(|i| (i % 2) as i64).collect();
-        let s = solver();
-        let epoch = run_epochs_solver(&arriving, 2, s.as_ref()).unwrap();
-        let obs = observations_from_epochs(&arriving, &users, &epoch, 2);
-        let buffered = FairnessReport::from_observations(&obs);
-        let out =
-            run_stream(stream, 2, s.as_ref(), &StreamOptions::default(), |_, _| {}).unwrap();
-        assert_eq!(out.fairness.max_stretch, buffered.max_stretch);
-        assert_eq!(out.fairness.mean_stretch, buffered.mean_stretch);
-        assert_eq!(out.fairness.users.len(), buffered.users.len());
-        for (a, b) in out.fairness.users.iter().zip(&buffered.users) {
-            assert_eq!(a.user, b.user);
-            assert_eq!(a.weighted_flow, b.weighted_flow);
-        }
     }
 }

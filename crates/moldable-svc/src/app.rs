@@ -1210,15 +1210,28 @@ mod tests {
         };
         // 2^28 × 2 asks for ~8 · 10^8 blocks in a ~100-byte body, and
         // 65536 × 16 for ~1.1 · 10^6: both are refused as a typed 400
-        // before a single block is allocated.
-        for (spec, blocks) in [("268435456*2", 805_306_368), ("65536*16", 1_114_112)] {
-            let (resp, _) = solve(spec);
+        // before a single block is allocated. 2^20 levels of one block
+        // pass the block cap, but every placement row would carry 2^20
+        // locality entries: the depth cap refuses that 2 MB spec before
+        // a level is built.
+        let deep = vec!["1"; 1 << 20].join("*");
+        for (spec, want) in [
+            (
+                "268435456*2",
+                "805306368 blocks, more than the 1048576 allowed",
+            ),
+            ("65536*16", "1114112 blocks, more than the 1048576 allowed"),
+            (&deep, "1048576 levels, more than the 64 allowed"),
+        ] {
+            let (resp, took) = solve(spec);
             assert_eq!(resp.status, 400, "{}", body_text(&resp));
             let v = json_of(&resp);
             assert_eq!(v["error"]["kind"].as_str(), Some("bad-request"));
-            let detail = v["error"]["detail"].as_str().unwrap();
-            let want = format!("{blocks} blocks, more than the 1048576 allowed");
-            assert!(detail.contains(&want), "{v:?}");
+            assert!(
+                v["error"]["detail"].as_str().unwrap().contains(want),
+                "{v:?}"
+            );
+            assert!(took < std::time::Duration::from_secs(30), "took {took:?}");
         }
         // A 7-byte spec exactly at the cap builds 2^20 blocks, validates
         // in linear time, and is then refused for not covering the
@@ -1228,6 +1241,12 @@ mod tests {
         assert_eq!(resp.status, 400, "{}", body_text(&resp));
         assert!(body_text(&resp).contains("covers 1048576 processors"));
         assert!(took < std::time::Duration::from_secs(30), "took {took:?}");
+        // 64 levels are still answered, one locality entry per level.
+        let (resp, _) = solve(&format!("64{}", "*1".repeat(63)));
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+        for row in json_of(&resp)["placements"].as_array().unwrap() {
+            assert_eq!(row["locality"].as_object().unwrap().len(), 64);
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Default for SynthesisParams {
 
 /// The admission policy for degenerate SWF records — the single place
 /// where raw-trace pathologies are clamped or rejected before anything
-/// reaches curve synthesis or `TraceReplay`:
+/// reaches curve synthesis or the replayed arrival stream:
 ///
 /// * **rejected**: records that never ran (`run_time ≤ 0`) or carry no
 ///   positive processor count at all (`allocated_procs ≤ 0` *and*
@@ -297,15 +297,16 @@ pub fn synthesize_stream_tagged(
     params: &SynthesisParams,
     max_jobs: Option<usize>,
 ) -> Vec<(Time, SpeedupCurve, i64)> {
+    let kept = || admissible_records(trace).take(max_jobs.unwrap_or(usize::MAX));
     // Origin of the replay timeline: the earliest *clamped* submit among
-    // admitted records, so negative submits (rejected by the admission
-    // policy's clamp) cannot drag every other arrival later.
-    let origin = admissible_records(trace)
+    // the records that survive the `max_jobs` cut, so the stream starts
+    // at zero, and negative submits (clamped by the admission policy)
+    // cannot drag every other arrival later.
+    let origin = kept()
         .map(admit_submit)
         .min_by(|a, b| a.total_cmp(b))
         .unwrap_or(0.0);
-    let mut out: Vec<(Time, SpeedupCurve, i64)> = admissible_records(trace)
-        .take(max_jobs.unwrap_or(usize::MAX))
+    let mut out: Vec<(Time, SpeedupCurve, i64)> = kept()
         .enumerate()
         .map(|(i, rec)| {
             let arrival = ((admit_submit(rec) - origin).max(0.0)
@@ -427,6 +428,20 @@ mod tests {
         let t = trace(vec![record(-9.0, 5.0, 1), record(-1.0, 5.0, 1)]);
         let s = synthesize_stream(&t, 8, &SynthesisParams::default(), None);
         assert!(s.iter().all(|&(a, _)| a == 0));
+    }
+
+    #[test]
+    fn truncated_streams_start_at_zero() {
+        // The earliest submit (10 s) lies past a one-record cut: the
+        // origin is taken over the surviving record, not the whole trace.
+        let t = trace(vec![record(100.0, 60.0, 1), record(10.0, 60.0, 1)]);
+        let s = synthesize_stream_tagged(&t, 8, &SynthesisParams::default(), Some(1));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s[0].0, 0);
+        // Without the cut the file's earliest submit is the origin.
+        let s = synthesize_stream(&t, 8, &SynthesisParams::default(), None);
+        let arrivals: Vec<Time> = s.iter().map(|&(a, _)| a).collect();
+        assert_eq!(arrivals, vec![0, 90_000]);
     }
 
     #[test]

@@ -138,14 +138,6 @@ pub struct SwfSource {
 }
 
 impl SwfSource {
-    /// The arrival stream with each job's SWF user id:
-    /// `(arrival, curve, user)`, aligned index-by-index with
-    /// [`WorkloadSource::arrival_stream`]. Feeds the per-user fairness
-    /// metrics of `moldable-sim`.
-    pub fn tagged_stream(&self) -> Vec<(Time, SpeedupCurve, i64)> {
-        synthesize_stream_tagged(&self.trace, self.m, &self.params, self.max_jobs)
-    }
-
     /// Build a source from a parsed trace. `m` overrides the header's
     /// machine count; returns `None` when neither is available.
     pub fn new(trace: SwfTrace, m: Option<Procs>, params: SynthesisParams) -> Option<Self> {
@@ -193,8 +185,10 @@ impl WorkloadSource for SwfSource {
 
     fn stream_iter(&self) -> Box<dyn Iterator<Item = (Time, SpeedupCurve, i64)> + '_> {
         // Materialized (the sort needs the whole trace anyway), but with
-        // the SWF user ids carried through for fairness accounting.
-        Box::new(self.tagged_stream().into_iter())
+        // the SWF user ids carried through for fairness accounting,
+        // aligned index by index with `arrival_stream`.
+        let tagged = synthesize_stream_tagged(&self.trace, self.m, &self.params, self.max_jobs);
+        Box::new(tagged.into_iter())
     }
 }
 
@@ -258,7 +252,7 @@ mod tests {
         let trace = SwfTrace::parse(TINY).unwrap();
         let src = SwfSource::new(trace, None, SynthesisParams::default()).unwrap();
         let plain = src.arrival_stream();
-        let tagged = src.tagged_stream();
+        let tagged: Vec<_> = src.stream_iter().collect();
         assert_eq!(plain.len(), tagged.len());
         for ((a, c), (ta, tc, user)) in plain.iter().zip(&tagged) {
             assert_eq!(a, ta);

@@ -1,12 +1,16 @@
 //! Ingest a real-workload trace (Standard Workload Format) and drive the
 //! full pipeline with it: parse → lift rigid records into monotone
 //! moldable jobs → schedule the whole trace offline → replay the recorded
-//! arrival stream through the online epoch scheme.
+//! arrival stream through the online epoch scheme (the streaming engine
+//! with no batch cap).
 //!
 //! Run with: `cargo run --release --example swf_replay`
 
 use moldable::prelude::*;
-use moldable::sim::{clairvoyant_lower_bound, run_epochs, TraceReplay};
+use moldable::sched::solver::DualSolver;
+use moldable::sim::{
+    clairvoyant_lower_bound, run_stream, EpochTable, StreamJob, StreamOptions,
+};
 use moldable::workloads::{FitModel, SwfSource, SwfTrace, SynthesisParams, WorkloadSource};
 
 fn main() {
@@ -66,22 +70,32 @@ fn main() {
     );
 
     // Online: replay the recorded submit times through the epoch scheme.
-    let replay = TraceReplay::new(source.arrival_stream());
-    let out = run_epochs(replay.stream(), m, &algo, &eps).expect("replay streams are sorted");
-    let lb = clairvoyant_lower_bound(replay.stream(), m);
+    // The source's stream is sorted and starts at zero.
+    let stream: Vec<StreamJob> = source.stream_iter().map(StreamJob::from).collect();
+    let lb = clairvoyant_lower_bound(&stream, m);
+    let mut epochs = EpochTable::new();
+    let out = run_stream(
+        stream,
+        m,
+        &DualSolver::new(algo, eps),
+        &StreamOptions::default(),
+        |_, o| epochs.observe(o),
+    )
+    .expect("replay streams are sorted");
+    let rows = epochs.rows();
     println!("\nonline replay (recorded submit times, epoch batching):");
-    println!("  epochs   : {}", out.epochs.len());
-    for e in out.epochs.iter().take(6) {
+    println!("  epochs   : {}", rows.len());
+    for (index, e) in rows.iter().enumerate().take(6) {
         println!(
             "    epoch {:>2}: {:>3} jobs  [{:>10.0}, {:>10.0})",
-            e.index,
-            e.jobs.len(),
+            index,
+            e.jobs,
             e.start.to_f64(),
             e.end.to_f64()
         );
     }
-    if out.epochs.len() > 6 {
-        println!("    … {} more epochs", out.epochs.len() - 6);
+    if rows.len() > 6 {
+        println!("    … {} more epochs", rows.len() - 6);
     }
     println!("  makespan : {}", out.makespan);
     println!("  clairvoyant lower bound: {lb}");

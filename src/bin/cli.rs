@@ -20,6 +20,10 @@ use moldable::prelude::*;
 use moldable::sched::baselines;
 use moldable::sched::batch;
 use moldable::sched::solver::{solver_by_name, SOLVER_NAMES};
+use moldable::sim::{
+    clairvoyant_lower_bound, run_stream, EpochTable, FairnessReport, FairshareOptions,
+    StreamFragmentation, StreamJob, StreamOptions,
+};
 use moldable::svc::app::{check_own_quotas, push_field, race_reply, solve_reply};
 use moldable::svc::{Failure, SolveRequest};
 use moldable::viz::render_gantt;
@@ -74,10 +78,14 @@ const USAGE: &str = "usage:
   moldable generate --family swf --trace FILE.swf [--m M] [--model amdahl|downey] [--seed S] [--max-jobs N]
   moldable validate --input FILE --schedule FILE
   moldable simulate --input FILE --schedule FILE
-  moldable simulate --trace FILE.swf [--m M] [--model amdahl|downey] [--seed S] [--max-jobs N] [--eps N/D] [--algo NAME] [--engine event|epoch]
-  moldable simulate --model lublin --n N [--m M] [--seed S] [--gap SECONDS] [--users U] [--user-skew S] [--fit amdahl|downey] [--engine event|epoch] [--max-batch B] [--eps N/D] [--algo NAME] [--topology SPEC] [--policy P] [--fairshare on|off] [--half-life TICKS] [--report-users N]
+  moldable simulate --trace FILE.swf [--m M] [--model amdahl|downey] [--seed S] [--max-jobs N] [STREAM]
+  moldable simulate --model lublin --n N [--m M] [--seed S] [--gap SECONDS] [--users U] [--user-skew S] [--fit amdahl|downey] [STREAM]
   moldable render   --input FILE --schedule FILE --out FILE.svg [--width W] [--height H]
 
+STREAM is [--max-batch B] [--eps N/D] [--algo NAME] [--topology SPEC]
+[--policy P] [--fairshare on|off] [--half-life TICKS] [--report-users N];
+--max-batch defaults to 8192, and 0 plans the whole queue at every
+re-plan (the exact epoch discipline). --report-users defaults to 16.
 topology SPEC is an arity product (\"64*2*32\" = nodes*sockets*cores) or
 explicit block lists (\"0-3|4-7;0-1|2-3|4-5|6-7\"); policy P is
 contiguous, packed[:LEVEL], or spread[:LEVEL] (default contiguous).
@@ -326,7 +334,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 }
 
 /// Resolve the `--algo` flag to a facade solver, rejecting `exact`
-/// (epoch/stream batch sizes are workload-dependent and unbounded; the
+/// (stream batch sizes are workload-dependent and unbounded; the
 /// exhaustive solver's search-space guard would abort mid-run).
 fn online_solver(
     args: &[String],
@@ -345,7 +353,7 @@ fn online_solver(
 }
 
 /// Fairness block of a simulate report (top `cap` users by weighted flow).
-fn fairness_json(fairness: &moldable::sim::FairnessReport, cap: usize) -> Value {
+fn fairness_json(fairness: &FairnessReport, cap: usize) -> Value {
     json!({
         "max_stretch": fairness.max_stretch.to_f64(),
         "mean_stretch": fairness.mean_stretch.to_f64(),
@@ -406,9 +414,7 @@ fn stream_topology(
 /// `off` (the default) is the FIFO snapshot discipline, byte-identical
 /// to earlier releases; `on` orders re-plan snapshots by the decayed
 /// fair-share weights.
-fn stream_fairshare(
-    args: &[String],
-) -> Result<Option<moldable::sim::FairshareOptions>, String> {
+fn stream_fairshare(args: &[String]) -> Result<Option<FairshareOptions>, String> {
     let on = match flag(args, "--fairshare").as_deref() {
         None | Some("off") => false,
         Some("on") => true,
@@ -425,14 +431,14 @@ fn stream_fairshare(
             Ok(v) if v > 0 => v,
             _ => return Err("bad --half-life (need an integer ≥ 1)".into()),
         },
-        None => moldable::sim::FairshareOptions::default().half_life,
+        None => FairshareOptions::default().half_life,
     };
-    Ok(Some(moldable::sim::FairshareOptions { half_life }))
+    Ok(Some(FairshareOptions { half_life }))
 }
 
 /// Fragmentation block of a streaming simulate report: one row per
 /// topology level with the run-lifetime locality trend.
-fn stream_fragmentation_json(frag: &moldable::sim::StreamFragmentation) -> Value {
+fn stream_fragmentation_json(frag: &StreamFragmentation) -> Value {
     json!({
         "epochs": frag.epochs,
         "levels": frag
@@ -449,19 +455,17 @@ fn stream_fragmentation_json(frag: &moldable::sim::StreamFragmentation) -> Value
     })
 }
 
-/// `simulate --model lublin` / `simulate --engine event`: drive a lazily
-/// generated or trace-backed arrival stream through the streaming
-/// event-driven engine (or, with `--engine epoch`, the batch epoch
-/// scheme for cross-checking). Metrics are computed online; no per-job
-/// data is buffered on the `event` path.
+/// `simulate --model lublin` / `simulate --trace`: drive a lazily
+/// generated or recorded arrival stream through the streaming engine.
+/// Metrics are computed online; a trace, which is in memory anyway, also
+/// reports its clairvoyant lower bound and the per-epoch table folded
+/// from the engine's observations.
 fn cmd_simulate_stream(args: &[String]) -> Result<(), String> {
     let eps = parse_eps(args)?;
     let (algo_name, solver) = online_solver(args, &eps)?;
-    let engine = flag(args, "--engine").unwrap_or_else(|| "event".into());
     // Fairness rows in the report, capped at the top `--report-users` by
-    // weighted flow. The default stays at PR 9's 16 so existing reports
-    // are byte-identical; the fair-share overload experiment passes 64
-    // to see every user of its 64-user stream.
+    // weighted flow; the fair-share overload experiment passes 64 to see
+    // every user of its 64-user stream.
     let report_users: usize = flag(args, "--report-users")
         .map(|s| s.parse().map_err(|_| "bad --report-users"))
         .transpose()?
@@ -520,158 +524,94 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), String> {
     let m = source.machine_count();
     let label = source.label();
 
-    let started = std::time::Instant::now();
-    let report = match engine.as_str() {
-        "event" => {
-            let max_batch = match flag(args, "--max-batch") {
-                Some(s) => match s.parse::<usize>().map_err(|_| "bad --max-batch")? {
-                    0 => None, // 0 = unbounded (the exact epoch discipline)
-                    b => Some(b),
-                },
-                None => Some(8192),
-            };
-            let (topology, policy) = stream_topology(args, m)?;
-            let fairshare = stream_fairshare(args)?;
-            let opts = moldable::sim::StreamOptions {
-                max_batch,
-                topology,
-                policy,
-                fairshare: fairshare.clone(),
-            };
-            let jobs =
-                source
-                    .stream_iter()
-                    .map(|(arrival, curve, user)| moldable::sim::StreamJob {
-                        curve,
-                        arrival,
-                        user,
-                    });
-            let out = moldable::sim::run_stream(jobs, m, solver.as_ref(), &opts, |_, _| {})
-                .map_err(|e| e.to_string())?;
-            let mut report = json!({
-                "source": label,
-                "engine": "event",
-                "m": m,
-                "algo": algo_name,
-                "jobs": out.jobs,
-                "epochs": out.epochs,
-                "max_batch": max_batch,
-                "makespan": out.makespan.to_f64(),
-                "peak_pending": out.peak_pending,
-                "wall_seconds": started.elapsed().as_secs_f64(),
-                "fairness": fairness_json(&out.fairness, report_users),
-            });
-            if let Some(frag) = &out.fragmentation {
-                push_field(
-                    &mut report,
-                    "fragmentation",
-                    stream_fragmentation_json(frag),
-                );
-            }
-            if let Some(fs) = &fairshare {
-                // Additive: `--fairshare off` reports stay byte-identical.
-                push_field(
-                    &mut report,
-                    "fairshare",
-                    json!({ "half_life": fs.half_life }),
-                );
-            }
-            report
-        }
-        "epoch" => {
-            if flag(args, "--topology").is_some() {
-                return Err("--topology only applies to --engine event".into());
-            }
-            if flag(args, "--fairshare").is_some() {
-                return Err("--fairshare only applies to --engine event".into());
-            }
-            if flag(args, "--max-batch").is_some() {
-                // Silently unbounded batches would make an event-vs-epoch
-                // cross-check look like an engine divergence.
-                return Err("--max-batch only applies to --engine event".into());
-            }
-            let tagged: Vec<(u64, moldable::core::SpeedupCurve, i64)> =
-                source.stream_iter().collect();
-            let users: Vec<i64> = tagged.iter().map(|&(_, _, u)| u).collect();
-            let stream: Vec<moldable::sim::ArrivingJob> = tagged
-                .into_iter()
-                .map(|(arrival, curve, _)| moldable::sim::ArrivingJob { curve, arrival })
-                .collect();
-            let out = moldable::sim::run_epochs_solver(&stream, m, solver.as_ref())
-                .map_err(|e| e.to_string())?;
-            let obs = moldable::sim::observations_from_epochs(&stream, &users, &out, m);
-            let fairness = moldable::sim::FairnessReport::from_observations(&obs);
-            json!({
-                "source": label,
-                "engine": "epoch",
-                "m": m,
-                "algo": algo_name,
-                "jobs": stream.len(),
-                "epochs": out.epochs.len(),
-                "makespan": out.makespan.to_f64(),
-                "wall_seconds": started.elapsed().as_secs_f64(),
-                "fairness": fairness_json(&fairness, report_users),
-            })
-        }
-        other => return Err(format!("unknown --engine `{other}` (event|epoch)")),
+    let max_batch = match flag(args, "--max-batch") {
+        Some(s) => match s.parse::<usize>().map_err(|_| "bad --max-batch")? {
+            0 => None, // 0 = unbounded (the exact epoch discipline)
+            b => Some(b),
+        },
+        None => Some(8192),
     };
-    println!("{}", serde_json::to_string_pretty(&report).unwrap());
-    Ok(())
-}
+    let (topology, policy) = stream_topology(args, m)?;
+    let fairshare = stream_fairshare(args)?;
+    let opts = StreamOptions {
+        max_batch,
+        topology,
+        policy,
+        fairshare: fairshare.clone(),
+    };
 
-/// `simulate --trace`: replay an SWF trace's arrival stream through the
-/// epoch-based online scheme and report what an operator would see.
-fn cmd_simulate_trace(args: &[String]) -> Result<(), String> {
-    let source = swf_source(args)?;
-    let m = source.machine_count();
-    let eps = parse_eps(args)?;
-    let (algo_name, solver) = online_solver(args, &eps)?;
-    // Tagged stream: arrivals aligned with SWF user ids for fairness.
-    let tagged = source.tagged_stream();
-    let users: Vec<i64> = tagged.iter().map(|&(_, _, u)| u).collect();
-    let replay =
-        moldable::sim::TraceReplay::new(tagged.into_iter().map(|(a, c, _)| (a, c)).collect());
-    let out = moldable::sim::run_epochs_solver(replay.stream(), m, solver.as_ref())
-        .map_err(|e| e.to_string())?;
-    let lb = moldable::sim::clairvoyant_lower_bound(replay.stream(), m);
-    let obs = moldable::sim::observations_from_epochs(replay.stream(), &users, &out, m);
-    let fairness = moldable::sim::FairnessReport::from_observations(&obs);
-    let report = json!({
-        "source": source.label(),
+    let started = std::time::Instant::now();
+    let jobs = source.stream_iter().map(StreamJob::from);
+    let mut epochs = EpochTable::new();
+    let (out, lower_bound) = if flag(args, "--trace").is_some() {
+        let stream: Vec<StreamJob> = jobs.collect();
+        let lb = clairvoyant_lower_bound(&stream, m);
+        let out = run_stream(stream, m, solver.as_ref(), &opts, |_, o| epochs.observe(o));
+        (out, Some(lb))
+    } else {
+        (run_stream(jobs, m, solver.as_ref(), &opts, |_, _| {}), None)
+    };
+    let out = out.map_err(|e| e.to_string())?;
+    let mut report = json!({
+        "source": label,
         "m": m,
-        "jobs": replay.len(),
         "algo": algo_name,
-        "epochs": out.epochs.len(),
+        "jobs": out.jobs,
+        "epochs": out.epochs,
+        "max_batch": max_batch,
         "makespan": out.makespan.to_f64(),
-        "clairvoyant_lower_bound": lb.to_f64(),
-        "fairness": fairness_json(&fairness, usize::MAX),
-        "epoch_table": out
-            .epochs
-            .iter()
-            .map(|e| json!({
-                "index": e.index,
-                "jobs": e.jobs.len(),
+        "peak_pending": out.peak_pending,
+        "wall_seconds": started.elapsed().as_secs_f64(),
+        "fairness": fairness_json(&out.fairness, report_users),
+    });
+    if let Some(frag) = &out.fragmentation {
+        push_field(
+            &mut report,
+            "fragmentation",
+            stream_fragmentation_json(frag),
+        );
+    }
+    if let Some(fs) = &fairshare {
+        // Additive: `--fairshare off` reports stay byte-identical.
+        push_field(
+            &mut report,
+            "fairshare",
+            json!({ "half_life": fs.half_life }),
+        );
+    }
+    if let Some(lb) = lower_bound {
+        push_field(&mut report, "clairvoyant_lower_bound", json!(lb.to_f64()));
+        let rows = epochs.rows().into_iter().enumerate().map(|(index, e)| {
+            json!({
+                "index": index,
+                "jobs": e.jobs,
                 "start": e.start.to_f64(),
                 "end": e.end.to_f64(),
-            }))
-            .collect::<Vec<_>>(),
-    });
+            })
+        });
+        push_field(&mut report, "epoch_table", Value::Array(rows.collect()));
+    }
     println!("{}", serde_json::to_string_pretty(&report).unwrap());
     Ok(())
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    // Streaming paths: the Lublin–Feitelson model, any source driven
-    // through an explicit --engine choice, or a topology-aware replay
-    // (only the streaming engine lowers placements).
+    if has_flag(args, "--engine") {
+        // Refused rather than ignored: an old `--engine epoch` command
+        // must not silently run under a different batch cap.
+        return Err(
+            "--engine is gone: simulate has one engine; pass --max-batch 0 \
+                    for the exact epoch discipline"
+                .into(),
+        );
+    }
+    // Streaming paths: the Lublin–Feitelson model, an SWF trace, or a
+    // topology-aware replay.
     if flag(args, "--model").as_deref() == Some("lublin")
-        || flag(args, "--engine").is_some()
+        || flag(args, "--trace").is_some()
         || flag(args, "--topology").is_some()
     {
         return cmd_simulate_stream(args);
-    }
-    if flag(args, "--trace").is_some() {
-        return cmd_simulate_trace(args);
     }
     let inst = load_instance(args)?;
     let s = load_schedule(args)?;

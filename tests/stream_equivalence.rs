@@ -1,21 +1,125 @@
-//! The streaming event-driven engine must be *observationally identical*
-//! to the epoch batch scheme: same batches, same planner calls, same
-//! completion times, same fairness — `run_stream` with an unbounded
-//! `max_batch` is `run_epochs` minus the `O(n)` buffers. Property-tested
-//! across arrival patterns and solver choices (the ISSUE-4 acceptance
-//! equivalence corpus).
+//! The streaming engine must be *observationally identical* to the
+//! epoch scheme it implements: same batches, same planner calls, same
+//! completion times, same fairness. The epoch scheme lives here as a
+//! direct loop — the oracle — and `run_stream` with an unbounded
+//! `max_batch` is pinned to it across arrival patterns and solver
+//! choices, plus the fixed corpora below.
 
+use moldable::core::types::JobId;
+use moldable::core::view::JobView;
 use moldable::prelude::*;
-use moldable::sched::solver::solver_by_name;
+use moldable::sched::solver::{solver_by_name, MakespanSolver};
 use moldable::sim::{
-    observations_from_epochs, run_epochs_solver, run_stream, ArrivingJob, FairnessReport,
-    FairshareOptions, StreamJob, StreamOptions,
+    execute, run_stream, EpochRow, EpochTable, FairnessReport, FairshareOptions,
+    JobObservation, StreamJob, StreamOptions,
 };
 use proptest::prelude::*;
 
 /// Solvers exercised as online planners (exact is rejected by design;
 /// ptas/fptas fold into their dispatch branches).
 const SOLVERS: &[&str] = &["linear", "alg3", "mrt", "two-approx", "sequential"];
+
+/// What the epoch loop decides for a stream.
+struct EpochRun {
+    /// One observation per stream job, in stream order.
+    observations: Vec<JobObservation>,
+    /// One row per epoch.
+    rows: Vec<EpochRow>,
+    makespan: Ratio,
+}
+
+/// The epoch scheme as a plain loop over a sorted stream. Each batch is
+/// everything that has arrived by the clock (on an idle machine the
+/// clock first jumps to the next arrival), planned as a fresh offline
+/// instance with `solve` and run to completion with `execute` before the
+/// next batch is planned.
+fn epoch_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) -> EpochRun {
+    let mut observations: Vec<JobObservation> = stream
+        .iter()
+        .map(|j| JobObservation {
+            user: j.user,
+            arrival: Ratio::from(j.arrival),
+            completion: Ratio::zero(),
+            ideal_time: Ratio::from(j.curve.time(m).max(1)),
+            weight: j.curve.time(1) as u128,
+            placed: None,
+            epoch: 0,
+        })
+        .collect();
+    let mut rows: Vec<EpochRow> = Vec::new();
+    let mut clock = Ratio::zero();
+    let mut next = 0;
+    while next < stream.len() {
+        clock = clock.max(Ratio::from(stream[next].arrival));
+        let first = next;
+        while next < stream.len() && Ratio::from(stream[next].arrival) <= clock {
+            next += 1;
+        }
+        let jobs: Vec<Job> = stream[first..next]
+            .iter()
+            .enumerate()
+            .map(|(i, j)| Job::new(i as JobId, j.curve.clone()))
+            .collect();
+        let inst = Instance::from_jobs(jobs, m);
+        let schedule = solver.solve(&JobView::build(&inst), m).schedule;
+        let ex = execute(&inst, &schedule).expect("planned batches execute");
+        let batch = &mut observations[first..next];
+        batch.iter_mut().for_each(|o| o.epoch = rows.len() as u64);
+        for p in schedule.placement.iter().flat_map(|pl| &pl.jobs) {
+            batch[p.job as usize].placed = Some(p.procs.clone());
+        }
+        for seg in &ex.trace.segments {
+            let o = &mut batch[seg.job as usize];
+            o.completion = o.completion.max(clock.add(&seg.end));
+        }
+        let end = clock.add(&ex.makespan);
+        rows.push(EpochRow {
+            jobs: (next - first) as u64,
+            start: clock,
+            end,
+        });
+        clock = end;
+    }
+    EpochRun {
+        observations,
+        rows,
+        makespan: clock,
+    }
+}
+
+/// Run `stream` through the unbounded engine and assert that every
+/// observation, the epoch rows folded from them, the makespan, the epoch
+/// count and the fairness report equal the oracle's.
+fn assert_engine_matches_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) {
+    let want = epoch_oracle(stream, m, solver);
+    let mut got: Vec<(u64, JobObservation)> = Vec::new();
+    let mut table = EpochTable::new();
+    let out = run_stream(
+        stream.to_vec(),
+        m,
+        solver,
+        &StreamOptions::default(),
+        |i, o| {
+            table.observe(o);
+            got.push((i, o.clone()));
+        },
+    )
+    .unwrap();
+
+    assert_eq!(out.jobs as usize, stream.len());
+    assert_eq!(out.makespan, want.makespan);
+    assert_eq!(out.epochs as usize, want.rows.len());
+    assert_eq!(table.rows(), want.rows);
+    got.sort_by_key(|(i, _)| *i);
+    let got: Vec<JobObservation> = got.into_iter().map(|(_, o)| o).collect();
+    assert_eq!(got, want.observations);
+    // Fairness: the online accumulator over streamed observations
+    // equals the buffered report over the oracle's observations.
+    assert_eq!(
+        out.fairness,
+        FairnessReport::from_observations(&want.observations)
+    );
+}
 
 fn arrival_stream() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     // (gap to previous arrival, sequential time, width hint) per job;
@@ -40,70 +144,58 @@ fn curves(spec: &[(u64, u64, u64)]) -> Vec<(u64, SpeedupCurve)> {
         .collect()
 }
 
+/// Constant-curve jobs from `(arrival, t1)` pairs, user `i % users`.
+fn constant_jobs(spec: &[(u64, u64)], users: usize) -> Vec<StreamJob> {
+    spec.iter()
+        .enumerate()
+        .map(|(i, &(arrival, t1))| StreamJob {
+            curve: SpeedupCurve::Constant(t1),
+            arrival,
+            user: (i % users) as i64,
+        })
+        .collect()
+}
+
+#[test]
+fn event_engine_matches_epoch_scheme_on_fixed_corpora() {
+    // Late arrivals, idle gaps, same-instant bursts — the equivalence
+    // corpus of arrival patterns, checked completion by completion.
+    let corpora: [&[(u64, u64)]; 5] = [
+        &[(0, 4), (0, 4), (0, 4), (0, 4)],
+        &[(0, 10), (1, 3)],
+        &[(0, 2), (100, 2)],
+        &[(5, 7), (5, 3), (5, 9), (6, 1), (40, 2), (40, 2)],
+        &[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)],
+    ];
+    let solver = solver_by_name("linear", &Ratio::new(1, 4)).unwrap();
+    for spec in corpora {
+        for m in [1u64, 2, 4] {
+            assert_engine_matches_oracle(&constant_jobs(spec, 1), m, solver.as_ref());
+        }
+    }
+    // Two users, one late burst: per-user fairness rows agree too.
+    let two_users = constant_jobs(&[(0, 10), (1, 3), (1, 5), (20, 2)], 2);
+    assert_engine_matches_oracle(&two_users, 2, solver.as_ref());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Event engine ≡ epoch scheme: completions, makespan, epoch count,
-    /// and fairness agree exactly for every solver.
+    /// Event engine ≡ epoch scheme: observations, epoch rows, makespan,
+    /// epoch count, and fairness agree exactly for every solver.
     #[test]
     fn event_engine_matches_epoch_scheme(
         spec in arrival_stream(),
         m in 1u64..6,
         solver_idx in 0usize..SOLVERS.len(),
     ) {
-        let jobs = curves(&spec);
-        let arriving: Vec<ArrivingJob> = jobs
-            .iter()
-            .map(|(a, c)| ArrivingJob { curve: c.clone(), arrival: *a })
-            .collect();
-        let stream: Vec<StreamJob> = jobs
-            .iter()
+        let stream: Vec<StreamJob> = curves(&spec)
+            .into_iter()
             .enumerate()
-            .map(|(i, (a, c))| StreamJob {
-                curve: c.clone(),
-                arrival: *a,
-                user: (i % 3) as i64,
-            })
+            .map(|(i, (arrival, curve))| StreamJob { curve, arrival, user: (i % 3) as i64 })
             .collect();
-        let users: Vec<i64> = (0..jobs.len()).map(|i| (i % 3) as i64).collect();
-        let eps = Ratio::new(1, 4);
-        let solver = solver_by_name(SOLVERS[solver_idx], &eps).unwrap();
-
-        let epoch = run_epochs_solver(&arriving, m, solver.as_ref()).unwrap();
-        let mut completions: Vec<(u64, Ratio)> = Vec::new();
-        let out = run_stream(
-            stream,
-            m,
-            solver.as_ref(),
-            &StreamOptions::default(),
-            |i, o| completions.push((i, o.completion)),
-        )
-        .unwrap();
-
-        prop_assert_eq!(out.jobs as usize, jobs.len());
-        prop_assert_eq!(out.makespan, epoch.makespan);
-        prop_assert_eq!(out.epochs as usize, epoch.epochs.len());
-        completions.sort_by_key(|&(i, _)| i);
-        prop_assert_eq!(completions.len(), epoch.completions.len());
-        for (i, (idx, c)) in completions.iter().enumerate() {
-            prop_assert_eq!(*idx as usize, i);
-            prop_assert_eq!(*c, epoch.completions[i]);
-        }
-
-        // Fairness: the online accumulator over streamed observations
-        // equals the buffered report over the epoch observations.
-        let obs = observations_from_epochs(&arriving, &users, &epoch, m);
-        let buffered = FairnessReport::from_observations(&obs);
-        prop_assert_eq!(out.fairness.max_stretch, buffered.max_stretch);
-        prop_assert_eq!(out.fairness.mean_stretch, buffered.mean_stretch);
-        prop_assert_eq!(out.fairness.users.len(), buffered.users.len());
-        for (a, b) in out.fairness.users.iter().zip(&buffered.users) {
-            prop_assert_eq!(a.user, b.user);
-            prop_assert_eq!(a.jobs, b.jobs);
-            prop_assert_eq!(a.max_stretch, b.max_stretch);
-            prop_assert_eq!(a.mean_stretch, b.mean_stretch);
-            prop_assert_eq!(a.weighted_flow, b.weighted_flow);
-        }
+        let solver = solver_by_name(SOLVERS[solver_idx], &Ratio::new(1, 4)).unwrap();
+        assert_engine_matches_oracle(&stream, m, solver.as_ref());
     }
 
     /// A bounded batch cap never loses or duplicates jobs, and the
@@ -122,6 +214,7 @@ proptest! {
         let eps = Ratio::new(1, 4);
         let solver = solver_by_name("linear", &eps).unwrap();
         let mut seen = vec![0usize; jobs.len()];
+        let mut table = EpochTable::new();
         let out = run_stream(
             stream,
             m,
@@ -133,12 +226,18 @@ proptest! {
             |i, o| {
                 seen[i as usize] += 1;
                 assert!(o.completion >= o.arrival);
+                table.observe(o);
             },
         )
         .unwrap();
         prop_assert_eq!(out.jobs as usize, jobs.len());
         prop_assert!(seen.iter().all(|&c| c == 1));
         prop_assert!(out.epochs as usize >= jobs.len().div_ceil(cap.max(1)) - 1);
+        // Capped epochs still tile the timeline, at most `cap` jobs each.
+        let rows = table.rows();
+        prop_assert_eq!(rows.len() as u64, out.epochs);
+        prop_assert!(rows.iter().all(|r| (1..=cap as u64).contains(&r.jobs)));
+        prop_assert!(rows.windows(2).all(|w| w[0].end <= w[1].start));
     }
 
     /// `--fairshare off` is not a separate code path doing the same

@@ -5,7 +5,10 @@
 use moldable::core::io::InstanceSpec;
 use moldable::core::monotone::verify_monotone;
 use moldable::prelude::*;
-use moldable::sim::{clairvoyant_lower_bound, run_epochs, TraceReplay};
+use moldable::sched::solver::DualSolver;
+use moldable::sim::{
+    clairvoyant_lower_bound, run_stream, EpochTable, StreamJob, StreamOptions,
+};
 use moldable::workloads::{FitModel, SwfSource, SwfTrace, SynthesisParams, WorkloadSource};
 
 const TRACE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
@@ -55,8 +58,8 @@ fn swf_ingest_admission_policy_pins_degenerate_rows() {
     // The truncated record (job 151) is admitted through its allocation.
     let truncated = &trace.jobs[150];
     assert_eq!(admit_procs(truncated), Some(8));
-    // Every admitted record reaches TraceReplay with a non-negative,
-    // sorted arrival and a positive processor count.
+    // Every admitted record reaches the replayed stream with a
+    // non-negative, sorted arrival and a positive processor count.
     for rec in admissible_records(&trace) {
         assert!(admit_procs(rec).unwrap() >= 1);
         assert!(admit_submit(rec) >= 0.0);
@@ -146,18 +149,26 @@ fn swf_ingest_replay_runs_the_online_pipeline() {
     let source = SwfSource::new(bundled_trace(), None, SynthesisParams::default())
         .unwrap()
         .with_max_jobs(64);
+    let m = source.machine_count();
     let eps = Ratio::new(1, 4);
-    let replay = TraceReplay::new(source.arrival_stream());
-    assert_eq!(replay.len(), 64);
-    let planner = ImprovedDual::new_linear(eps);
-    let out = run_epochs(replay.stream(), source.machine_count(), &planner, &eps).unwrap();
-    let lb = clairvoyant_lower_bound(replay.stream(), source.machine_count());
+    let stream: Vec<StreamJob> = source.stream_iter().map(StreamJob::from).collect();
+    assert_eq!(stream.len(), 64);
+    assert_eq!(stream[0].arrival, 0);
+    let lb = clairvoyant_lower_bound(&stream, m);
+    let planner = DualSolver::new(ImprovedDual::new_linear(eps), eps);
+    let mut epochs = EpochTable::new();
+    let out = run_stream(stream, m, &planner, &StreamOptions::default(), |_, o| {
+        epochs.observe(o)
+    })
+    .unwrap();
     assert!(out.makespan >= lb);
     // Epochs tile the timeline without overlap.
-    for w in out.epochs.windows(2) {
+    let rows = epochs.rows();
+    assert_eq!(rows.len() as u64, out.epochs);
+    for w in rows.windows(2) {
         assert!(w[0].end <= w[1].start);
     }
-    assert_eq!(out.epochs.iter().map(|e| e.jobs.len()).sum::<usize>(), 64);
+    assert_eq!(rows.iter().map(|e| e.jobs).sum::<u64>(), 64);
 }
 
 #[test]
