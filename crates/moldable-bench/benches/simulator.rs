@@ -1,11 +1,11 @@
-//! Criterion benchmarks for the discrete-event simulator: plan execution,
-//! online FIFO, and EASY backfilling at increasing job counts.
+//! Criterion benchmarks for the discrete-event simulator: plan execution
+//! and online FIFO at increasing job counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::ratio::Ratio;
 use moldable_sched::dual::approximate;
 use moldable_sched::ImprovedDual;
-use moldable_sim::{backfill_schedule, execute, online_list_schedule};
+use moldable_sim::{execute, online_list_schedule};
 use moldable_workloads::{bench_instance, BenchFamily};
 use std::time::Duration;
 
@@ -32,11 +32,6 @@ fn bench_simulator(c: &mut Criterion) {
             BenchmarkId::new("online-fifo", n),
             &est.allotment,
             |b, a| b.iter(|| online_list_schedule(&inst, a, &order).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("easy-backfill", n),
-            &est.allotment,
-            |b, a| b.iter(|| backfill_schedule(&inst, a, &order).unwrap()),
         );
     }
     group.finish();

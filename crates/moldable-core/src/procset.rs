@@ -223,6 +223,18 @@ impl ProcSet {
             None
         }
     }
+
+    /// The flat allocation rule shared by the lowering and the
+    /// simulator: the lowest contiguous run of `width` processors
+    /// ([`first_fit`](Self::first_fit)), else the lowest `width` across
+    /// ranges ([`take_first`](Self::take_first)). `None` exactly when
+    /// the set holds fewer than `width`. The set itself is untouched.
+    pub fn take_fit(&self, width: u64) -> Option<ProcSet> {
+        match self.first_fit(width) {
+            Some(lo) => Some(ProcSet::range(lo, lo + width - 1)),
+            None => self.take_first(width),
+        }
+    }
 }
 
 /// Why a [`ProcSet`] string failed to parse — see the
@@ -391,6 +403,26 @@ mod tests {
     }
 
     #[test]
+    fn take_fit_prefers_one_run_else_the_lowest_ids() {
+        // The lowest run that holds the request, not the tightest one.
+        let mut free = ProcSet::from_ranges([(2, 3), (6, 9), (12, 13)]);
+        assert_eq!(free.take_fit(2), Some(ProcSet::range(2, 3)));
+        assert_eq!(free.take_fit(3), Some(ProcSet::range(6, 8)));
+        // No run holds 7: the lowest seven ids, across all three runs.
+        assert_eq!(
+            free.take_fit(7),
+            Some(ProcSet::from_ranges([(2, 3), (6, 9), (12, 12)]))
+        );
+        assert_eq!(free.take_fit(9), None);
+        // Taking and giving back coalesces into the original runs.
+        let held = free.take_fit(3).unwrap();
+        free = free.subtract(&held);
+        assert_eq!(free, ProcSet::from_ranges([(2, 3), (9, 9), (12, 13)]));
+        free = free.union(&held);
+        assert_eq!(free.ranges(), &[(2, 3), (6, 9), (12, 13)]);
+    }
+
+    #[test]
     fn from_str_parses_display_notation() {
         let cases: Vec<ProcSet> = vec![
             ProcSet::new(),
@@ -432,5 +464,7 @@ mod tests {
         assert_eq!(rim.size(), 8);
         assert_eq!(full.first_fit(m), Some(0));
         assert_eq!(hole.first_fit(m), None);
+        assert_eq!(full.take_fit(m / 2), Some(ProcSet::range(0, m / 2 - 1)));
+        assert_eq!(rim.take_fit(8), Some(rim.clone()));
     }
 }

@@ -6,8 +6,8 @@
 //! min-heap of running jobs, one union per job end and one subtract
 //! per job start. Jobs are placed in start order under a
 //! [`PlacementPolicy`]: the flat [`Contiguous`] strategy takes the
-//! lowest contiguous run ([`ProcSet::first_fit`]) and falls back to the
-//! lowest free indices ([`ProcSet::take_first`]); [`Packed`] first
+//! lowest contiguous run and falls back to the lowest free indices
+//! ([`ProcSet::take_fit`]); [`Packed`] first
 //! tries to fit the whole job inside one block of a [`Topology`] level,
 //! and [`Spread`] splits it round-robin across the level's blocks. Both
 //! hierarchical strategies fall back to the flat one, so the pass stays
@@ -107,7 +107,7 @@ pub fn place_with(
             running.pop();
         }
         let chosen = match policy {
-            PlacementPolicy::Contiguous => choose_flat(&free, a.procs),
+            PlacementPolicy::Contiguous => free.take_fit(a.procs),
             PlacementPolicy::Packed { level } => {
                 choose_packed(&free, a.procs, topology, *level)
             }
@@ -132,14 +132,6 @@ pub fn place_with(
     Ok(placement)
 }
 
-/// The flat strategy: lowest contiguous run, else lowest free indices.
-fn choose_flat(free: &ProcSet, width: u64) -> Option<ProcSet> {
-    match free.first_fit(width) {
-        Some(lo) => Some(ProcSet::range(lo, lo + width - 1)),
-        None => free.take_first(width),
-    }
-}
-
 /// Packed: the first block at `level` whose free portion holds the
 /// whole job hosts it (contiguous inside the block when possible).
 /// Jobs wider than any block's free portion fall back to the flat
@@ -153,10 +145,10 @@ fn choose_packed(
     for block in &topology.levels()[level].blocks {
         let portion = free.intersect(block);
         if portion.size() >= width {
-            return choose_flat(&portion, width);
+            return portion.take_fit(width);
         }
     }
-    choose_flat(free, width)
+    free.take_fit(width)
 }
 
 /// The spread strategy's view of the free set: one [`ProcSet`] per

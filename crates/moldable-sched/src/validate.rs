@@ -184,17 +184,18 @@ fn validate_placement(
     schedule: &Schedule,
     inst: &Instance,
 ) -> Result<(), PlacementError> {
-    // Multiplicity already passed, so `job` is a unique key here.
-    let mut matched = vec![false; inst.n()];
+    // Multiplicity already passed, so the assignments are exactly one
+    // per job of `0..n`: index them by job once. A row takes its job's
+    // assignment out, so a row past `n` or a second row for a job
+    // matches nothing, and what is left unclaimed is unplaced.
+    let mut unplaced = vec![None; inst.n()];
+    for a in &schedule.assignments {
+        unplaced[a.job as usize] = Some(a);
+    }
     for p in &placement.jobs {
-        let Some(a) = schedule
-            .assignments
-            .iter()
-            .find(|a| a.job == p.job && !matched[a.job as usize])
-        else {
+        let Some(a) = unplaced.get_mut(p.job as usize).and_then(Option::take) else {
             return Err(PlacementError::UnknownJob { job: p.job });
         };
-        matched[a.job as usize] = true;
         let expected_end = a.start.add(&Ratio::from(inst.job(a.job).time(a.procs)));
         if p.start != a.start || p.end != expected_end {
             return Err(PlacementError::IntervalMismatch(Box::new(
@@ -215,7 +216,7 @@ fn validate_placement(
             });
         }
     }
-    if let Some(job) = matched.iter().position(|&done| !done) {
+    if let Some(job) = unplaced.iter().position(Option::is_some) {
         return Err(PlacementError::MissingJob { job: job as u32 });
     }
     placement.validate(inst.m())
@@ -424,12 +425,20 @@ mod tests {
             validate(&s, &inst),
             Err(ScheduleError::Placement(e)) if matches!(*e, PlacementError::MissingJob { job: 1 })
         ));
-        let mut unknown = good;
+        let mut unknown = good.clone();
         unknown.push(7, Ratio::zero(), Ratio::one(), ProcSet::range(0, 0));
         s.placement = Some(unknown);
         assert!(matches!(
             validate(&s, &inst),
             Err(ScheduleError::Placement(e)) if matches!(*e, PlacementError::UnknownJob { job: 7 })
+        ));
+        // A second row for an already matched job matches nothing either.
+        let mut duplicated = good;
+        duplicated.push(0, Ratio::zero(), Ratio::from(4u64), ProcSet::range(0, 0));
+        s.placement = Some(duplicated);
+        assert!(matches!(
+            validate(&s, &inst),
+            Err(ScheduleError::Placement(e)) if matches!(*e, PlacementError::UnknownJob { job: 0 })
         ));
     }
 

@@ -5,35 +5,53 @@
 //! real runtime does: concrete processors must be assigned, held for the
 //! whole job, and returned. Because machines are interchangeable, aggregate
 //! feasibility implies executability — and this module *proves* that
-//! constructively for every schedule our algorithms emit, by building an
-//! explicit per-block trace and re-checking disjointness.
+//! constructively for every schedule our algorithms emit, by recording an
+//! explicit [`Placement`] (one row per job) that
+//! [`Placement::validate`] re-checks for disjointness.
+//!
+//! The free processors are a [`ProcSet`] handed out by
+//! [`ProcSet::take_fit`], the flat rule of the lowering in
+//! `moldable_sched::place`, so a plan executes onto the same ids its
+//! contiguous lowering would give it. What the executor adds is the
+//! plan's own checks (every job exactly once, allotments in `1..=m`)
+//! and a typed [`SimError`] naming the job that could not start.
+//!
+//! All times are exact rationals ([`Ratio`]): the three-shelf schedules
+//! place jobs at half-integral positions, so floating-point time would
+//! make release-before-start ordering flaky exactly at the shelf
+//! boundaries where correctness matters most.
 
-use crate::engine::{Event, EventKind, EventQueue, ProcessorPool, SimError};
-use crate::trace::{Segment, Trace};
+use crate::SimError;
 use moldable_core::instance::Instance;
+use moldable_core::placement::Placement;
+use moldable_core::procset::ProcSet;
 use moldable_core::ratio::Ratio;
+use moldable_core::types::Procs;
 use moldable_sched::schedule::Schedule;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The result of a successful simulation.
 #[derive(Clone, Debug)]
 pub struct Execution {
-    /// The full per-block trace.
-    pub trace: Trace,
+    /// Who ran where: one row per job, in start order.
+    pub placement: Placement,
     /// Completion time observed by the simulator.
     pub makespan: Ratio,
-    /// Number of start events processed.
-    pub jobs_run: usize,
 }
 
 /// Run `schedule` on `inst`'s cluster; fail on any oversubscription.
 ///
-/// Every job of the instance must be placed exactly once. Runs in
-/// `O(n log n)` event-queue operations plus pool bookkeeping.
+/// Every job of the instance must be placed exactly once. Jobs start in
+/// `(start, job)` order; before each start, every job that has ended by
+/// then returns its processors (a processor freed at `t` can be reused
+/// by a job starting at `t` — the shelf construction relies on this
+/// back-to-back reuse). `O(n log n)` plus the free-set bookkeeping.
 ///
 /// ```
 /// use moldable_core::{Instance, Ratio, SpeedupCurve};
 /// use moldable_sched::Schedule;
-/// use moldable_sim::execute;
+/// use moldable_sim::{execute, metrics::peak_demand};
 ///
 /// let inst = Instance::new(
 ///     vec![SpeedupCurve::Constant(4), SpeedupCurve::Constant(6)],
@@ -44,8 +62,8 @@ pub struct Execution {
 /// plan.push(1, Ratio::zero(), 1);
 /// let ex = execute(&inst, &plan).unwrap();
 /// assert_eq!(ex.makespan, Ratio::from(6u64));
-/// assert!(ex.trace.check_disjoint().is_ok());
-/// assert_eq!(ex.trace.peak_demand(), 2);
+/// assert!(ex.placement.validate(inst.m()).is_ok());
+/// assert_eq!(peak_demand(&ex.placement), 2);
 /// ```
 pub fn execute(inst: &Instance, schedule: &Schedule) -> Result<Execution, SimError> {
     let n = inst.n();
@@ -73,63 +91,52 @@ pub fn execute(inst: &Instance, schedule: &Schedule) -> Result<Execution, SimErr
     if missing > 0 {
         return Err(SimError::MissingJobs { count: missing });
     }
+    let mut order: Vec<(Ratio, u32, Procs)> = assignment
+        .into_iter()
+        .enumerate()
+        .map(|(job, slot)| {
+            let (start, procs) = slot.expect("checked above");
+            (start, job as u32, procs)
+        })
+        .collect();
+    order.sort_unstable();
 
-    let mut queue = EventQueue::new();
-    for (id, slot) in assignment.iter().enumerate() {
-        let (start, _) = slot.as_ref().unwrap();
-        queue.push(Event {
-            at: *start,
-            kind: EventKind::Start,
-            job: id as u32,
-        });
-    }
-
-    let mut pool = ProcessorPool::new(m, n);
-    let mut trace = Trace::new(m);
-    let mut started: Vec<Option<Ratio>> = vec![None; n];
-    let mut jobs_run = 0;
-
-    while let Some(ev) = queue.pop() {
-        match ev.kind {
-            EventKind::Start => {
-                let (_, procs) = assignment[ev.job as usize].as_ref().unwrap();
-                let blocks = pool.acquire(ev.job, *procs, &ev.at)?.to_vec();
-                let dur = inst.time(ev.job, *procs);
-                let end = ev.at.add(&Ratio::from(dur));
-                started[ev.job as usize] = Some(ev.at);
-                for b in blocks {
-                    trace.segments.push(Segment {
-                        job: ev.job,
-                        block: b,
-                        start: ev.at,
-                        end,
-                    });
-                }
-                queue.push(Event {
-                    at: end,
-                    kind: EventKind::Complete,
-                    job: ev.job,
-                });
-                jobs_run += 1;
+    let mut free = ProcSet::full(m);
+    let mut running: BinaryHeap<Reverse<(Ratio, usize)>> = BinaryHeap::new();
+    let mut placement = Placement::new();
+    let mut makespan = Ratio::zero();
+    for (at, job, want) in order {
+        while let Some(&Reverse((end, row))) = running.peek() {
+            if end > at {
+                break;
             }
-            EventKind::Complete => {
-                pool.release(ev.job);
-            }
+            free = free.union(&placement.jobs[row].procs);
+            running.pop();
         }
+        let procs = free
+            .take_fit(want)
+            .ok_or_else(|| SimError::Oversubscribed {
+                job,
+                at,
+                wanted: want,
+                free: free.size(),
+            })?;
+        free = free.subtract(&procs);
+        let end = at.add(&Ratio::from(inst.time(job, want)));
+        makespan = makespan.max(end);
+        running.push(Reverse((end, placement.jobs.len())));
+        placement.push(job, at, end, procs);
     }
-
-    debug_assert_eq!(pool.in_use(), 0, "processors leaked past the last event");
-    let makespan = trace.makespan();
     Ok(Execution {
-        trace,
+        placement,
         makespan,
-        jobs_run,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::peak_demand;
     use moldable_core::speedup::SpeedupCurve;
 
     fn inst2(m: u64) -> Instance {
@@ -147,8 +154,8 @@ mod tests {
         s.push(1, Ratio::from(4u64), 1);
         let ex = execute(&inst, &s).unwrap();
         assert_eq!(ex.makespan, Ratio::from(10u64));
-        assert_eq!(ex.jobs_run, 2);
-        assert!(ex.trace.check_disjoint().is_ok());
+        assert_eq!(ex.placement.jobs.len(), 2);
+        assert!(ex.placement.validate(1).is_ok());
     }
 
     #[test]
@@ -159,7 +166,7 @@ mod tests {
         s.push(1, Ratio::zero(), 1);
         let ex = execute(&inst, &s).unwrap();
         assert_eq!(ex.makespan, Ratio::from(6u64));
-        assert_eq!(ex.trace.peak_demand(), 2);
+        assert_eq!(peak_demand(&ex.placement), 2);
     }
 
     #[test]
@@ -179,7 +186,15 @@ mod tests {
         s.push(0, Ratio::zero(), 1);
         s.push(1, Ratio::from(3u64), 1); // job 0 still running until 4
         let err = execute(&inst, &s).unwrap_err();
-        assert!(matches!(err, SimError::Oversubscribed { job: 1, .. }));
+        assert_eq!(
+            err,
+            SimError::Oversubscribed {
+                job: 1,
+                at: Ratio::from(3u64),
+                wanted: 1,
+                free: 0
+            }
+        );
     }
 
     #[test]

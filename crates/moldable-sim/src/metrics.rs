@@ -1,18 +1,19 @@
-//! Aggregate statistics over execution traces.
+//! Aggregate statistics over executions.
 //!
-//! Used by the examples and the experiment reports to summarize a run:
-//! utilization (busy area over `m × makespan`), per-job response times,
-//! and work conservation (trace area equals the plan's work — nothing is
+//! Used by the examples and the experiment reports to summarize a run
+//! recorded as a [`Placement`]: utilization (busy area over
+//! `m × makespan`), per-job response times, the demand profile, and
+//! work conservation (busy area equals the plan's work — nothing is
 //! lost or double-counted by the simulator).
 
-use crate::trace::Trace;
 use moldable_core::instance::Instance;
+use moldable_core::placement::Placement;
 use moldable_core::ratio::Ratio;
-use moldable_core::types::JobId;
+use moldable_core::types::{JobId, Procs};
 use moldable_sched::schedule::Schedule;
 use std::collections::BTreeMap;
 
-/// Per-job observations extracted from a trace.
+/// Per-job observations extracted from a placement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobMetrics {
     /// The job.
@@ -41,30 +42,25 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// Summarize a trace.
-    ///
-    /// Panics if the trace is internally inconsistent (a job with
-    /// segments of differing intervals), which `execute` never produces.
-    pub fn from_trace(trace: &Trace) -> Self {
-        let mut per_job: BTreeMap<JobId, JobMetrics> = BTreeMap::new();
-        for s in &trace.segments {
-            let e = per_job.entry(s.job).or_insert_with(|| JobMetrics {
-                job: s.job,
-                start: s.start,
-                end: s.end,
-                procs: 0,
-            });
-            assert_eq!(e.start, s.start, "job {} has ragged segments", s.job);
-            assert_eq!(e.end, s.end, "job {} has ragged segments", s.job);
-            e.procs += s.block.len;
-        }
-        let jobs: Vec<JobMetrics> = per_job.into_values().collect();
-        let makespan = trace.makespan();
-        let denom = makespan.mul_int(trace.m as u128);
+    /// Summarize a placement on an `m`-processor cluster.
+    pub fn from_placement(placement: &Placement, m: Procs) -> Self {
+        let mut jobs: Vec<JobMetrics> = placement
+            .jobs
+            .iter()
+            .map(|p| JobMetrics {
+                job: p.job,
+                start: p.start,
+                end: p.end,
+                procs: p.procs.size(),
+            })
+            .collect();
+        jobs.sort_by_key(|j| j.job);
+        let makespan = jobs.iter().map(|j| j.end).max().unwrap_or_else(Ratio::zero);
+        let denom = makespan.mul_int(m as u128);
         let utilization = if denom.is_zero() {
             Ratio::zero()
         } else {
-            trace.busy_area().div(&denom)
+            busy_area(&jobs).div(&denom)
         };
         let mean_completion = if jobs.is_empty() {
             Ratio::zero()
@@ -76,7 +72,7 @@ impl ClusterMetrics {
             acc.div_int(jobs.len() as u128)
         };
         ClusterMetrics {
-            m: trace.m,
+            m,
             makespan,
             utilization,
             mean_completion,
@@ -84,11 +80,58 @@ impl ClusterMetrics {
         }
     }
 
-    /// Verify work conservation against the plan: the trace's busy area
-    /// must equal `Σ procs·t_j(procs)` of the schedule.
-    pub fn work_conserved(&self, inst: &Instance, schedule: &Schedule, trace: &Trace) -> bool {
-        trace.busy_area() == Ratio::from_int(schedule.total_work(inst))
+    /// Verify work conservation against the plan: the busy area must
+    /// equal `Σ procs·t_j(procs)` of the schedule.
+    pub fn work_conserved(&self, inst: &Instance, schedule: &Schedule) -> bool {
+        busy_area(&self.jobs) == Ratio::from_int(schedule.total_work(inst))
     }
+}
+
+/// Total busy area `Σ procs × (end − start)` over the jobs.
+fn busy_area(jobs: &[JobMetrics]) -> Ratio {
+    let mut acc = Ratio::zero();
+    for j in jobs {
+        acc = acc.add(&j.end.sub(&j.start).mul_int(j.procs as u128));
+    }
+    acc
+}
+
+/// The demand profile: processor usage as a right-open step function.
+///
+/// Returns `(t_0, u_0), (t_1, u_1), …` meaning `u_i` processors are busy
+/// on `[t_i, t_{i+1})`; the last entry has usage 0. Runs in
+/// `O(k log k)` for `k` rows.
+pub fn demand_profile(placement: &Placement) -> Vec<(Ratio, Procs)> {
+    // Sweep over ±size deltas at row starts/ends.
+    let mut deltas: Vec<(Ratio, i128)> = Vec::with_capacity(2 * placement.jobs.len());
+    for p in &placement.jobs {
+        let size = p.procs.size() as i128;
+        deltas.push((p.start, size));
+        deltas.push((p.end, -size));
+    }
+    deltas.sort_by_key(|a| a.0);
+    let mut profile: Vec<(Ratio, Procs)> = Vec::new();
+    let mut usage: i128 = 0;
+    let mut i = 0;
+    while i < deltas.len() {
+        let t = deltas[i].0;
+        while i < deltas.len() && deltas[i].0 == t {
+            usage += deltas[i].1;
+            i += 1;
+        }
+        debug_assert!(usage >= 0, "negative usage during sweep");
+        profile.push((t, usage as Procs));
+    }
+    profile
+}
+
+/// Peak processor demand over the whole placement.
+pub fn peak_demand(placement: &Placement) -> Procs {
+    demand_profile(placement)
+        .iter()
+        .map(|&(_, u)| u)
+        .max()
+        .unwrap_or(0)
 }
 
 /// One job's observation for fairness accounting: who submitted it, when
@@ -297,7 +340,45 @@ impl RunningFairness {
 mod tests {
     use super::*;
     use crate::executor::execute;
+    use moldable_core::procset::ProcSet;
     use moldable_core::speedup::SpeedupCurve;
+
+    fn placed(rows: &[(JobId, u64, u64, u64, u64)]) -> Placement {
+        let mut pl = Placement::new();
+        for &(job, t0, t1, lo, hi) in rows {
+            pl.push(
+                job,
+                Ratio::from(t0),
+                Ratio::from(t1),
+                ProcSet::range(lo, hi),
+            );
+        }
+        pl
+    }
+
+    #[test]
+    fn busy_area_and_makespan() {
+        let pl = placed(&[(0, 0, 3, 0, 1), (1, 1, 5, 2, 2)]);
+        let metrics = ClusterMetrics::from_placement(&pl, 4);
+        assert_eq!(metrics.makespan, Ratio::from(5u64));
+        // Busy area 2·3 + 1·4 = 10 over 4 × 5.
+        assert_eq!(metrics.utilization, Ratio::new(1, 2));
+    }
+
+    #[test]
+    fn demand_profile_steps() {
+        let pl = placed(&[(0, 0, 4, 0, 1), (1, 2, 6, 2, 3)]);
+        assert_eq!(
+            demand_profile(&pl),
+            vec![
+                (Ratio::from(0u64), 2),
+                (Ratio::from(2u64), 4),
+                (Ratio::from(4u64), 2),
+                (Ratio::from(6u64), 0),
+            ]
+        );
+        assert_eq!(peak_demand(&pl), 4);
+    }
 
     #[test]
     fn metrics_of_two_job_run() {
@@ -309,12 +390,12 @@ mod tests {
         s.push(0, Ratio::zero(), 1);
         s.push(1, Ratio::zero(), 1);
         let ex = execute(&inst, &s).unwrap();
-        let metrics = ClusterMetrics::from_trace(&ex.trace);
+        let metrics = ClusterMetrics::from_placement(&ex.placement, 2);
         assert_eq!(metrics.makespan, Ratio::from(4u64));
         assert_eq!(metrics.utilization, Ratio::one()); // both busy throughout
         assert_eq!(metrics.mean_completion, Ratio::from(4u64));
         assert_eq!(metrics.jobs.len(), 2);
-        assert!(metrics.work_conserved(&inst, &s, &ex.trace));
+        assert!(metrics.work_conserved(&inst, &s));
     }
 
     #[test]
@@ -327,15 +408,14 @@ mod tests {
         s.push(0, Ratio::zero(), 1);
         s.push(1, Ratio::zero(), 1);
         let ex = execute(&inst, &s).unwrap();
-        let metrics = ClusterMetrics::from_trace(&ex.trace);
+        let metrics = ClusterMetrics::from_placement(&ex.placement, 2);
         // Busy area 6 over 2×4 = 8.
         assert_eq!(metrics.utilization, Ratio::new(3, 4));
     }
 
     #[test]
-    fn empty_trace_yields_zeros() {
-        let tr = Trace::new(8);
-        let metrics = ClusterMetrics::from_trace(&tr);
+    fn empty_placement_yields_zeros() {
+        let metrics = ClusterMetrics::from_placement(&Placement::new(), 8);
         assert_eq!(metrics.makespan, Ratio::zero());
         assert_eq!(metrics.utilization, Ratio::zero());
         assert!(metrics.jobs.is_empty());
@@ -421,25 +501,28 @@ mod tests {
     }
 
     #[test]
-    fn multi_block_job_sums_procs() {
-        // Force fragmentation so one job holds two blocks.
+    fn fragmented_job_counts_every_processor() {
+        // Job 1 keeps the middle pair busy, so job 3 holds two ranges.
         let inst = Instance::new(
             vec![
                 SpeedupCurve::Constant(2),
-                SpeedupCurve::Constant(2),
+                SpeedupCurve::Constant(9),
                 SpeedupCurve::Constant(2),
                 SpeedupCurve::Constant(9),
             ],
             6,
         );
         let mut s = Schedule::new();
-        s.push(0, Ratio::zero(), 2); // [0,2)
-        s.push(1, Ratio::zero(), 2); // [2,4)
-        s.push(2, Ratio::zero(), 2); // [4,6)
-        s.push(3, Ratio::from(2u64), 4); // needs blocks after frees
+        s.push(0, Ratio::zero(), 2); // {0, 1} until 2
+        s.push(1, Ratio::zero(), 2); // {2, 3} until 9
+        s.push(2, Ratio::zero(), 2); // {4, 5} until 2
+        s.push(3, Ratio::from(2u64), 4);
         let ex = execute(&inst, &s).unwrap();
-        let metrics = ClusterMetrics::from_trace(&ex.trace);
+        let j3 = ex.placement.get(3).unwrap();
+        assert_eq!(j3.procs, ProcSet::from_ranges([(0, 1), (4, 5)]));
+        let metrics = ClusterMetrics::from_placement(&ex.placement, 6);
         let j3 = metrics.jobs.iter().find(|j| j.job == 3).unwrap();
         assert_eq!(j3.procs, 4);
+        assert!(metrics.work_conserved(&inst, &s));
     }
 }

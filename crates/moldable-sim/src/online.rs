@@ -12,20 +12,23 @@
 //! `moldable_sched::list_scheduling`, which computes the same makespan
 //! analytically without per-processor assignment.
 
-use crate::engine::{Event, EventKind, EventQueue, ProcessorPool, SimError};
-use crate::trace::{Segment, Trace};
+use crate::SimError;
 use moldable_core::instance::Instance;
+use moldable_core::placement::Placement;
+use moldable_core::procset::ProcSet;
 use moldable_core::ratio::Ratio;
-use moldable_core::types::Procs;
+use moldable_core::types::{JobId, Procs};
 use moldable_sched::schedule::Schedule;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of an online run.
 #[derive(Clone, Debug)]
 pub struct OnlineOutcome {
     /// The start times the simulator chose (a complete plan).
     pub schedule: Schedule,
-    /// The per-block trace.
-    pub trace: Trace,
+    /// Who ran where: one row per job, in dispatch order.
+    pub placement: Placement,
     /// The resulting makespan.
     pub makespan: Ratio,
 }
@@ -66,10 +69,13 @@ pub fn online_list_schedule(
         seen[j as usize] = true;
     }
 
-    let mut pool = ProcessorPool::new(m, n);
-    let mut queue = EventQueue::new();
-    let mut trace = Trace::new(m);
+    let mut free = ProcSet::full(m);
+    // Completions pop in (end, job) order, one at a time: the head job
+    // is retried after each release, so the order fixes which ids it gets.
+    let mut running: BinaryHeap<Reverse<(Ratio, JobId, usize)>> = BinaryHeap::new();
+    let mut placement = Placement::new();
     let mut schedule = Schedule::new();
+    let mut makespan = Ratio::zero();
     let mut next = 0usize; // cursor into `order`
     let mut now = Ratio::zero();
 
@@ -78,43 +84,31 @@ pub fn online_list_schedule(
         while next < order.len() {
             let job = order[next];
             let want = allotment[job as usize];
-            if want > pool.free_count() {
+            let Some(procs) = free.take_fit(want) else {
                 break;
-            }
-            let blocks = pool.acquire(job, want, &now)?.to_vec();
+            };
+            free = free.subtract(&procs);
             let end = now.add(&Ratio::from(inst.time(job, want)));
-            for b in blocks {
-                trace.segments.push(Segment {
-                    job,
-                    block: b,
-                    start: now,
-                    end,
-                });
-            }
+            makespan = makespan.max(end);
             schedule.push(job, now, want);
-            queue.push(Event {
-                at: end,
-                kind: EventKind::Complete,
-                job,
-            });
+            running.push(Reverse((end, job, placement.jobs.len())));
+            placement.push(job, now, end, procs);
             next += 1;
         }
         // Advance to the next completion.
-        match queue.pop() {
-            Some(ev) => {
-                debug_assert_eq!(ev.kind, EventKind::Complete);
-                now = ev.at;
-                pool.release(ev.job);
+        match running.pop() {
+            Some(Reverse((end, _, row))) => {
+                now = end;
+                free = free.union(&placement.jobs[row].procs);
             }
             None => break,
         }
     }
 
     debug_assert_eq!(next, order.len(), "all jobs dispatched");
-    let makespan = trace.makespan();
     Ok(OnlineOutcome {
         schedule,
-        trace,
+        placement,
         makespan,
     })
 }
@@ -137,7 +131,7 @@ mod tests {
         let inst = constant_inst(&[3, 3, 3, 3], 2);
         let out = online_list_schedule(&inst, &[1, 1, 1, 1], &[0, 1, 2, 3]).unwrap();
         assert_eq!(out.makespan, Ratio::from(6u64));
-        assert!(out.trace.check_disjoint().is_ok());
+        assert!(out.placement.validate(2).is_ok());
         assert!(validate(&out.schedule, &inst).is_ok());
     }
 
@@ -195,8 +189,23 @@ mod tests {
         let inst = constant_inst(&[2, 3, 4], 1);
         let out = online_list_schedule(&inst, &[1, 1, 1], &[2, 0, 1]).unwrap();
         assert_eq!(out.makespan, Ratio::from(9u64));
-        let tl = out.trace.processor_timeline(0);
-        assert_eq!(tl.runs.len(), 3);
-        assert!(tl.is_consistent());
+        // One processor: every job holds it, back to back in list order.
+        let runs: Vec<(JobId, Ratio, Ratio)> = out
+            .placement
+            .jobs
+            .iter()
+            .map(|p| {
+                assert_eq!(p.procs, ProcSet::range(0, 0));
+                (p.job, p.start, p.end)
+            })
+            .collect();
+        assert_eq!(
+            runs,
+            vec![
+                (2, Ratio::zero(), Ratio::from(4u64)),
+                (0, Ratio::from(4u64), Ratio::from(6u64)),
+                (1, Ratio::from(6u64), Ratio::from(9u64)),
+            ]
+        );
     }
 }

@@ -21,9 +21,10 @@
 //!   exact rational timestamps;
 //! * each re-plan snapshots a bounded prefix of the pending queue
 //!   ([`StreamOptions::max_batch`]), plans it through any
-//!   [`MakespanSolver`] from the facade, and discards the batch's
-//!   instance, view, and trace as soon as its completion events are
-//!   queued;
+//!   [`MakespanSolver`] from the facade, runs it through
+//!   [`execute`], queues each job's completion at the end of its
+//!   placement row, and discards the batch's instance, view, and
+//!   execution;
 //! * per-job [`JobObservation`]s are emitted **incrementally**, in
 //!   completion-time order, to a caller-supplied sink, and fairness is
 //!   folded online through [`RunningFairness`] — nothing accumulates
@@ -37,9 +38,9 @@
 //! keeps a direct epoch loop as the oracle and pins the engine to it,
 //! completion by completion, across solvers.
 
-use crate::engine::SimError;
 use crate::executor::execute;
 use crate::metrics::{FairnessReport, JobObservation, RunningFairness};
+use crate::SimError;
 use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
 use moldable_core::job::Job;
@@ -504,14 +505,12 @@ where
                     schedule.placement = Some(placement);
                 }
                 let ex = execute(&inst, &schedule).expect("planned batches execute");
-                // Queue one completion event per batch job; the instance,
-                // view, and trace die at the end of this arm.
+                // Queue one completion event per batch job, at the end of
+                // its placement row; the instance, view, and execution die
+                // at the end of this arm.
                 let mut ends: Vec<Ratio> = vec![Ratio::zero(); batch.len()];
-                for seg in &ex.trace.segments {
-                    let end = &mut ends[seg.job as usize];
-                    if seg.end > *end {
-                        *end = seg.end;
-                    }
+                for p in &ex.placement.jobs {
+                    ends[p.job as usize] = p.end;
                 }
                 // Per-local-job processor sets, when the planner placed.
                 let mut placed: Vec<Option<moldable_core::procset::ProcSet>> =

@@ -21,9 +21,10 @@
 //!   runtimes, two-stage uniform log₂ sizes, daily-cycle arrivals — a
 //!   lazy, deterministic generator that synthesizes million-job streams
 //!   without a trace file;
-//! * [`source`] — the [`WorkloadSource`] backend trait unifying synthetic
-//!   families, traces, and model generators behind one offline-instance /
-//!   arrival-stream / lazy-stream interface.
+//! * [`source`] — the [`WorkloadSource`] backend trait: one interface
+//!   over SWF traces and the Lublin–Feitelson model, each giving an
+//!   offline instance and a lazy, user-tagged arrival stream
+//!   ([`WorkloadSource::stream_iter`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,8 +46,8 @@ pub use lublin::{LublinGenerator, LublinParams, LublinSource};
 pub use moldability::{
     admissible_records, admit_procs, admit_submit, downey_speedup, effective_procs,
     fit_curve_through, resampled_instance, synthesize_curve, synthesize_instance,
-    synthesize_stream, synthesize_stream_tagged, FitModel, SynthesisParams,
+    synthesize_stream, FitModel, SynthesisParams,
 };
-pub use source::{SwfSource, SyntheticSource, WorkloadSource};
+pub use source::{SwfSource, WorkloadSource};
 pub use suite::{bench_instance, BenchFamily};
 pub use swf::{SwfError, SwfHeader, SwfRecord, SwfTrace};

@@ -272,26 +272,12 @@ pub fn synthesize_instance(
     Instance::new(curves, m)
 }
 
-/// Synthesize the timed arrival stream of a trace: one `(arrival, curve)`
-/// pair per usable record, arrivals normalized so the first submission is
-/// at time zero, sorted by arrival.
+/// Synthesize the timed arrival stream of a trace: one
+/// `(arrival, curve, user)` triple per usable record — the SWF user id is
+/// the identity per-user fairness metrics aggregate by — with arrivals
+/// normalized so the first submission is at time zero, sorted (stably)
+/// by arrival.
 pub fn synthesize_stream(
-    trace: &SwfTrace,
-    m: Procs,
-    params: &SynthesisParams,
-    max_jobs: Option<usize>,
-) -> Vec<(Time, SpeedupCurve)> {
-    synthesize_stream_tagged(trace, m, params, max_jobs)
-        .into_iter()
-        .map(|(a, c, _)| (a, c))
-        .collect()
-}
-
-/// [`synthesize_stream`] with each record's SWF user id carried along as
-/// `(arrival, curve, user)` — the identity per-user fairness metrics
-/// aggregate by. The sort is stable, so the untagged stream is exactly
-/// this one with the ids dropped.
-pub fn synthesize_stream_tagged(
     trace: &SwfTrace,
     m: Procs,
     params: &SynthesisParams,
@@ -422,12 +408,12 @@ mod tests {
             record(10.0, 10.0, 1),
         ]);
         let s = synthesize_stream(&t, 32, &SynthesisParams::default(), None);
-        let arrivals: Vec<Time> = s.iter().map(|&(a, _)| a).collect();
+        let arrivals: Vec<Time> = s.iter().map(|&(a, _, _)| a).collect();
         assert_eq!(arrivals, vec![0, 0, 10_000]);
         // All-negative submits: everything lands at the origin.
         let t = trace(vec![record(-9.0, 5.0, 1), record(-1.0, 5.0, 1)]);
         let s = synthesize_stream(&t, 8, &SynthesisParams::default(), None);
-        assert!(s.iter().all(|&(a, _)| a == 0));
+        assert!(s.iter().all(|&(a, _, _)| a == 0));
     }
 
     #[test]
@@ -435,12 +421,12 @@ mod tests {
         // The earliest submit (10 s) lies past a one-record cut: the
         // origin is taken over the surviving record, not the whole trace.
         let t = trace(vec![record(100.0, 60.0, 1), record(10.0, 60.0, 1)]);
-        let s = synthesize_stream_tagged(&t, 8, &SynthesisParams::default(), Some(1));
+        let s = synthesize_stream(&t, 8, &SynthesisParams::default(), Some(1));
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].0, 0);
         // Without the cut the file's earliest submit is the origin.
         let s = synthesize_stream(&t, 8, &SynthesisParams::default(), None);
-        let arrivals: Vec<Time> = s.iter().map(|&(a, _)| a).collect();
+        let arrivals: Vec<Time> = s.iter().map(|&(a, _, _)| a).collect();
         assert_eq!(arrivals, vec![0, 90_000]);
     }
 

@@ -1,28 +1,23 @@
-//! The [`WorkloadSource`] backend trait: one interface over synthetic
-//! families and SWF traces.
+//! The [`WorkloadSource`] backend trait: one interface over generated and
+//! recorded workloads.
 //!
 //! The scheduler, the simulator, and the bench harness all consume
 //! workloads in two shapes — an *offline instance* (every job known at
 //! time zero, the paper's model) and a *timed arrival stream* (what a
 //! cluster front-end sees). A backend produces both deterministically, so
-//! an experiment can swap `--family mixed` for `--trace cluster.swf`
+//! an experiment can swap `--model lublin` for `--trace cluster.swf`
 //! without touching anything downstream:
 //!
-//! * [`SyntheticSource`] — the generator families of [`crate::suite`],
-//!   with a deterministic pseudo-Poisson arrival process;
 //! * [`SwfSource`] — a parsed SWF trace lifted through
-//!   [`crate::moldability`], replaying the recorded submit times.
+//!   [`crate::moldability`], replaying the recorded submit times;
+//! * [`LublinSource`](crate::lublin::LublinSource) — the
+//!   Lublin–Feitelson model, synthesized one job at a time.
 
-use crate::moldability::{
-    synthesize_instance, synthesize_stream, synthesize_stream_tagged, SynthesisParams,
-};
-use crate::suite::{bench_instance, BenchFamily};
+use crate::moldability::{synthesize_instance, synthesize_stream, SynthesisParams};
 use crate::swf::SwfTrace;
 use moldable_core::instance::Instance;
 use moldable_core::speedup::SpeedupCurve;
 use moldable_core::types::{Procs, Time};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A deterministic workload backend.
 ///
@@ -38,89 +33,13 @@ pub trait WorkloadSource {
     /// The whole job set as an offline instance (all jobs at time zero).
     fn offline_instance(&self) -> Instance;
 
-    /// The job set as a timed arrival stream: `(arrival, curve)` pairs
-    /// sorted by arrival, with the first arrival at time zero.
-    fn arrival_stream(&self) -> Vec<(Time, SpeedupCurve)>;
-
-    /// The stream as a **lazy** iterator of `(arrival, curve, user)`
-    /// triples (user `-1` when the backend has no identities), sorted by
-    /// arrival. The default materializes [`arrival_stream`] — correct
-    /// for every backend, `O(n)` memory; generator backends (the
-    /// Lublin–Feitelson model) override it to synthesize one job at a
-    /// time, which is what lets the streaming simulator consume
-    /// million-job sources in `O(pending)` memory.
-    ///
-    /// [`arrival_stream`]: WorkloadSource::arrival_stream
-    fn stream_iter(&self) -> Box<dyn Iterator<Item = (Time, SpeedupCurve, i64)> + '_> {
-        Box::new(self.arrival_stream().into_iter().map(|(a, c)| (a, c, -1)))
-    }
-}
-
-/// A synthetic-family backend: the curves of [`bench_instance`] plus a
-/// deterministic pseudo-Poisson arrival process.
-#[derive(Clone, Debug)]
-pub struct SyntheticSource {
-    /// Which generator family.
-    pub family: BenchFamily,
-    /// Number of jobs.
-    pub n: usize,
-    /// Machine count.
-    pub m: Procs,
-    /// Generator seed (curves and arrivals).
-    pub seed: u64,
-    /// Mean interarrival gap of the synthetic stream (time units).
-    pub mean_interarrival: Time,
-}
-
-impl SyntheticSource {
-    /// A source with the default interarrival gap (64 time units).
-    pub fn new(family: BenchFamily, n: usize, m: Procs, seed: u64) -> Self {
-        SyntheticSource {
-            family,
-            n,
-            m,
-            seed,
-            mean_interarrival: 64,
-        }
-    }
-}
-
-impl WorkloadSource for SyntheticSource {
-    fn label(&self) -> String {
-        format!(
-            "{}(n={}, m={}, seed={})",
-            self.family.name(),
-            self.n,
-            self.m,
-            self.seed
-        )
-    }
-
-    fn machine_count(&self) -> Procs {
-        self.m
-    }
-
-    fn offline_instance(&self) -> Instance {
-        bench_instance(self.family, self.n, self.m, self.seed)
-    }
-
-    fn arrival_stream(&self) -> Vec<(Time, SpeedupCurve)> {
-        let inst = self.offline_instance();
-        // Uniform gaps in [0, 2·mean] have the right mean and keep the
-        // stream deterministic; the first job arrives at zero.
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xA44A_11A7_5EED_5EED);
-        let mut clock: Time = 0;
-        inst.jobs()
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                if i > 0 {
-                    clock += rng.gen_range(0..=2 * self.mean_interarrival.max(1));
-                }
-                (clock, j.curve().clone())
-            })
-            .collect()
-    }
+    /// The job set as a timed arrival stream: `(arrival, curve, user)`
+    /// triples (user `-1` when the backend has no identities) sorted by
+    /// arrival, with the first arrival at time zero. Generator backends
+    /// (the Lublin–Feitelson model) synthesize one job at a time, which
+    /// is what lets the streaming simulator consume million-job sources
+    /// in `O(pending)` memory.
+    fn stream_iter(&self) -> Box<dyn Iterator<Item = (Time, SpeedupCurve, i64)> + '_>;
 }
 
 /// An SWF-trace backend: records lifted into moldable jobs, submit times
@@ -179,16 +98,11 @@ impl WorkloadSource for SwfSource {
         synthesize_instance(&self.trace, self.m, &self.params, self.max_jobs)
     }
 
-    fn arrival_stream(&self) -> Vec<(Time, SpeedupCurve)> {
-        synthesize_stream(&self.trace, self.m, &self.params, self.max_jobs)
-    }
-
     fn stream_iter(&self) -> Box<dyn Iterator<Item = (Time, SpeedupCurve, i64)> + '_> {
-        // Materialized (the sort needs the whole trace anyway), but with
-        // the SWF user ids carried through for fairness accounting,
-        // aligned index by index with `arrival_stream`.
-        let tagged = synthesize_stream_tagged(&self.trace, self.m, &self.params, self.max_jobs);
-        Box::new(tagged.into_iter())
+        // Materialized (the sort needs the whole trace anyway), with the
+        // SWF user ids carried through for fairness accounting.
+        let stream = synthesize_stream(&self.trace, self.m, &self.params, self.max_jobs);
+        Box::new(stream.into_iter())
     }
 }
 
@@ -205,24 +119,6 @@ mod tests {
 ";
 
     #[test]
-    fn synthetic_source_round_trip() {
-        let src = SyntheticSource::new(BenchFamily::Mixed, 10, 256, 3);
-        let inst = src.offline_instance();
-        assert_eq!(inst.n(), 10);
-        assert_eq!(src.machine_count(), 256);
-        let stream = src.arrival_stream();
-        assert_eq!(stream.len(), 10);
-        assert_eq!(stream[0].0, 0);
-        assert!(stream.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Same config, same stream.
-        let again = SyntheticSource::new(BenchFamily::Mixed, 10, 256, 3).arrival_stream();
-        for (a, b) in stream.iter().zip(&again) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.time(7), b.1.time(7));
-        }
-    }
-
-    #[test]
     fn swf_source_uses_header_machine_count() {
         let trace = SwfTrace::parse(TINY).unwrap();
         let src = SwfSource::new(trace, None, SynthesisParams::default()).unwrap();
@@ -232,10 +128,8 @@ mod tests {
         for j in inst.jobs() {
             verify_monotone(j, 32).unwrap();
         }
-        let stream = src.arrival_stream();
-        assert_eq!(stream.len(), 3);
-        assert_eq!(stream[0].0, 0);
-        assert_eq!(stream[2].0, 90_000); // ticks: 90 s × 1000
+        let arrivals: Vec<Time> = src.stream_iter().map(|(a, _, _)| a).collect();
+        assert_eq!(arrivals, vec![0, 50_000, 90_000]); // ticks: s × 1000
     }
 
     #[test]
@@ -248,19 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn tagged_stream_aligns_with_plain_stream() {
+    fn stream_carries_swf_user_ids() {
         let trace = SwfTrace::parse(TINY).unwrap();
         let src = SwfSource::new(trace, None, SynthesisParams::default()).unwrap();
-        let plain = src.arrival_stream();
-        let tagged: Vec<_> = src.stream_iter().collect();
-        assert_eq!(plain.len(), tagged.len());
-        for ((a, c), (ta, tc, user)) in plain.iter().zip(&tagged) {
-            assert_eq!(a, ta);
-            assert_eq!(c.time(5), tc.time(5));
-            assert!(*user >= 1, "TINY records carry user ids");
-        }
         // TINY's users are 1, 2, 3 in submit order.
-        let users: Vec<i64> = tagged.iter().map(|&(_, _, u)| u).collect();
+        let users: Vec<i64> = src.stream_iter().map(|(_, _, u)| u).collect();
         assert_eq!(users, vec![1, 2, 3]);
     }
 
@@ -271,6 +157,6 @@ mod tests {
             .unwrap()
             .with_max_jobs(2);
         assert_eq!(src.offline_instance().n(), 2);
-        assert_eq!(src.arrival_stream().len(), 2);
+        assert_eq!(src.stream_iter().count(), 2);
     }
 }

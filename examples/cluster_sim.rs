@@ -2,14 +2,15 @@
 //!
 //! The paper's algorithms emit *plans* (start time + processor count per
 //! job). This example runs such a plan on `moldable-sim`'s simulated
-//! cluster — concrete processors, explicit acquire/release — and reports
-//! what an operator would see: utilization, per-job response, and the
-//! demand profile over time. It also cross-checks that the analytic
-//! validator and the simulator agree.
+//! cluster — concrete processors, explicit acquire/release, recorded as
+//! a `Placement` — and reports what an operator would see: utilization,
+//! per-job response, and the demand profile over time. It also
+//! cross-checks that the analytic validator and the simulator agree.
 //!
 //! Run with: `cargo run --release --example cluster_sim`
 
 use moldable::prelude::*;
+use moldable::sim::metrics::{demand_profile, peak_demand};
 use moldable::sim::{execute, ClusterMetrics};
 use moldable::workloads::{hpc_mix_instance, HpcMixParams};
 
@@ -47,11 +48,11 @@ fn main() {
         res.schedule.makespan(&inst),
         "simulator and analytic makespan must agree"
     );
-    ex.trace
-        .check_disjoint()
+    ex.placement
+        .validate(m)
         .expect("no processor may run two jobs at once");
 
-    let metrics = ClusterMetrics::from_trace(&ex.trace);
+    let metrics = ClusterMetrics::from_placement(&ex.placement, m);
     println!("simulated execution of the (3/2+ε) linear-time plan:");
     println!("  makespan        : {}", metrics.makespan);
     println!(
@@ -64,13 +65,13 @@ fn main() {
     );
     println!(
         "  work conserved  : {}",
-        metrics.work_conserved(&inst, &res.schedule, &ex.trace)
+        metrics.work_conserved(&inst, &res.schedule)
     );
 
     // Demand profile: how many processors are busy over time.
     println!("\ndemand profile (time → busy processors):");
-    let profile = ex.trace.demand_profile();
-    let peak = ex.trace.peak_demand();
+    let profile = demand_profile(&ex.placement);
+    let peak = peak_demand(&ex.placement);
     for (t, u) in profile.iter().take(12) {
         let bar_len = (*u as f64 / m as f64 * 48.0).round() as usize;
         println!(
@@ -85,10 +86,21 @@ fn main() {
     }
     println!("peak demand: {peak}/{m} processors");
 
-    // The busiest processor's timeline.
-    let tl = ex.trace.processor_timeline(0);
-    println!("\nprocessor 0 ran {} job segment(s):", tl.runs.len());
-    for (job, s, e) in tl.runs.iter().take(8) {
-        println!("  job {job:>3}: [{:.1}, {:.1})", s.to_f64(), e.to_f64());
+    // The busiest processor's timeline: every row holding processor 0.
+    let mut runs: Vec<_> = ex
+        .placement
+        .jobs
+        .iter()
+        .filter(|p| p.procs.contains(0))
+        .collect();
+    runs.sort_by_key(|p| p.start);
+    println!("\nprocessor 0 ran {} job segment(s):", runs.len());
+    for p in runs.iter().take(8) {
+        println!(
+            "  job {:>3}: [{:.1}, {:.1})",
+            p.job,
+            p.start.to_f64(),
+            p.end.to_f64()
+        );
     }
 }

@@ -1,7 +1,6 @@
 //! `moldable` — command-line front end.
 //!
 //! ```text
-//! moldable schedule --input inst.json [--eps N/D] [--algo NAME] [--gantt]
 //! moldable solve    --input inst.json [--algo NAME] [--eps N/D] [--place]
 //! moldable race     --input inst.json [--eps N/D] [--place] [--check] [--threads N]
 //! moldable estimate --input inst.json
@@ -17,16 +16,15 @@
 
 use moldable::core::io::InstanceSpec;
 use moldable::prelude::*;
-use moldable::sched::baselines;
 use moldable::sched::batch;
 use moldable::sched::solver::{solver_by_name, SOLVER_NAMES};
+use moldable::sim::metrics::{demand_profile, peak_demand};
 use moldable::sim::{
-    clairvoyant_lower_bound, run_stream, EpochTable, FairnessReport, FairshareOptions,
-    StreamFragmentation, StreamJob, StreamOptions,
+    clairvoyant_lower_bound, execute, run_stream, ClusterMetrics, EpochTable, FairnessReport,
+    FairshareOptions, StreamFragmentation, StreamJob, StreamOptions,
 };
 use moldable::svc::app::{check_own_quotas, push_field, race_reply, solve_reply};
 use moldable::svc::{Failure, SolveRequest};
-use moldable::viz::render_gantt;
 use moldable::workloads::{
     FitModel, LublinParams, LublinSource, SwfSource, SwfTrace, SynthesisParams, WorkloadSource,
 };
@@ -42,7 +40,6 @@ fn main() -> ExitCode {
     // `solve` and `race` run the service pipeline, whose stages set each
     // failure's kind; every other command fails only on its own input.
     let result = match cmd.as_str() {
-        "schedule" => cmd_schedule(&args[1..]).map_err(Failure::bad_request),
         "solve" => cmd_solve(&args[1..]),
         "race" => cmd_race(&args[1..]),
         "estimate" => cmd_estimate(&args[1..]).map_err(Failure::bad_request),
@@ -70,7 +67,6 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  moldable schedule --input FILE [--eps N/D] [--algo mrt|alg1|alg3|linear|fptas|ptas|two-approx] [--gantt]
   moldable solve    --input FILE [--algo mrt|alg1|alg3|linear|contiguous-73-50|fptas|ptas|two-approx|sequential|exact] [--eps N/D] [--place] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable race     --input FILE [--eps N/D] [--place] [--check] [--threads N] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable estimate --input FILE
@@ -117,39 +113,6 @@ fn load_instance(args: &[String]) -> Result<Instance, String> {
 fn parse_eps(args: &[String]) -> Result<Ratio, String> {
     let raw = flag(args, "--eps").unwrap_or_else(|| "1/4".into());
     moldable::svc::app::parse_eps(&raw)
-}
-
-fn cmd_schedule(args: &[String]) -> Result<(), String> {
-    let inst = load_instance(args)?;
-    let eps = parse_eps(args)?;
-    let algo_name = flag(args, "--algo").unwrap_or_else(|| "linear".into());
-    let schedule = match algo_name.as_str() {
-        "two-approx" => baselines::two_approx(&inst),
-        "fptas" => fptas_schedule(&inst, &eps).schedule,
-        "ptas" => ptas_schedule(&inst, &eps).schedule,
-        name => {
-            let algo: Box<dyn DualAlgorithm> = match name {
-                "mrt" => Box::new(MrtDual),
-                "alg1" => Box::new(CompressibleDual::new(eps)),
-                "alg3" => Box::new(ImprovedDual::new(eps)),
-                "linear" => Box::new(ImprovedDual::new_linear(eps)),
-                other => return Err(format!("unknown --algo `{other}`")),
-            };
-            approximate(&inst, algo.as_ref(), &eps).schedule
-        }
-    };
-    validate(&schedule, &inst).map_err(|e| e.to_string())?;
-    let out = json!({
-        "algo": algo_name,
-        "makespan": schedule.makespan(&inst).to_f64(),
-        "total_work": schedule.total_work(&inst).to_string(),
-        "assignments": moldable::svc::app::assignment_rows(&inst, &schedule),
-    });
-    println!("{}", serde_json::to_string_pretty(&out).unwrap());
-    if has_flag(args, "--gantt") && inst.m() <= 128 {
-        eprintln!("\n{}", render_gantt(&inst, &schedule, 72));
-    }
-    Ok(())
 }
 
 /// The `solve`/`race` request: the instance file plus the shared wire
@@ -615,21 +578,17 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     }
     let inst = load_instance(args)?;
     let s = load_schedule(args)?;
-    let ex = moldable::sim::execute(&inst, &s).map_err(|e| e.to_string())?;
-    ex.trace
-        .check_disjoint()
-        .map_err(|(i, j)| format!("segments {i} and {j} overlap"))?;
-    let metrics = moldable::sim::ClusterMetrics::from_trace(&ex.trace);
+    let ex = execute(&inst, &s).map_err(|e| e.to_string())?;
+    ex.placement.validate(inst.m()).map_err(|e| e.to_string())?;
+    let metrics = ClusterMetrics::from_placement(&ex.placement, inst.m());
     let out = json!({
         "makespan": metrics.makespan.to_f64(),
         "utilization": metrics.utilization.to_f64(),
         "mean_completion": metrics.mean_completion.to_f64(),
-        "peak_demand": ex.trace.peak_demand(),
-        "jobs_run": ex.jobs_run,
-        "work_conserved": metrics.work_conserved(&inst, &s, &ex.trace),
-        "demand_profile": ex
-            .trace
-            .demand_profile()
+        "peak_demand": peak_demand(&ex.placement),
+        "jobs_run": ex.placement.jobs.len(),
+        "work_conserved": metrics.work_conserved(&inst, &s),
+        "demand_profile": demand_profile(&ex.placement)
             .iter()
             .map(|(t, u)| json!([t.to_f64(), u]))
             .collect::<Vec<_>>(),

@@ -1,7 +1,9 @@
 //! `moldable simulate` end to end: the built binary replays the bundled
 //! SWF trace through the streaming engine. The pinned numbers are the
 //! epoch scheme's answer on this trace; the knob checks prove that a
-//! trace run honours the same options as a Lublin run.
+//! trace run honours the same options as a Lublin run. Plan mode
+//! (`--input --schedule`) is pinned on a seeded `generate` → `solve`
+//! round trip.
 
 use serde_json::{json, Value};
 use std::process::{Command, Output};
@@ -82,4 +84,71 @@ fn engine_option_is_refused() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--max-batch 0"), "{stderr}");
     }
+}
+
+#[test]
+fn plan_mode_reports_the_executed_plan() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_simulate_plan");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str], path: &std::path::Path| {
+        let out = moldable(args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::write(path, &out.stdout).unwrap();
+    };
+    let inst = dir.join("inst.json");
+    let plan = dir.join("plan.json");
+    run(
+        &[
+            "generate", "--family", "mixed", "--n", "10", "--m", "4", "--seed", "11",
+        ],
+        &inst,
+    );
+    let inst = inst.to_str().unwrap();
+    run(&["solve", "--input", inst, "--algo", "linear"], &plan);
+    let out = moldable(&[
+        "simulate",
+        "--input",
+        inst,
+        "--schedule",
+        plan.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report: Value = serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap())
+        .expect("simulate prints JSON");
+    assert_eq!(report["makespan"].as_f64(), Some(30_595_498.0));
+    assert_eq!(report["utilization"].as_f64(), Some(0.4921508141491928));
+    assert_eq!(report["mean_completion"].as_f64(), Some(17_283_893.1));
+    assert_eq!(report["peak_demand"].as_u64(), Some(3));
+    assert_eq!(report["jobs_run"].as_u64(), Some(10));
+    assert_eq!(report["work_conserved"].as_bool(), Some(true));
+    let profile: Vec<(f64, u64)> = report["demand_profile"]
+        .as_array()
+        .expect("a demand profile")
+        .iter()
+        .map(|step| (step[0].as_f64().unwrap(), step[1].as_u64().unwrap()))
+        .collect();
+    assert_eq!(
+        profile,
+        vec![
+            (0.0, 3),
+            (6_093_677.0, 2),
+            (9_791_881.0, 2),
+            (11_372_862.0, 2),
+            (12_184_358.0, 2),
+            (15_593_114.0, 2),
+            (20_315_429.0, 2),
+            (21_010_559.0, 2),
+            (22_340_331.0, 2),
+            (23_541_222.0, 1),
+            (30_595_498.0, 0),
+        ]
+    );
 }

@@ -4,7 +4,8 @@
 use moldable::analysis::{fit, loglog_fit, Summary};
 use moldable::knapsack::{brute::brute_force, solve_fptas, Item};
 use moldable::prelude::*;
-use moldable::sim::{execute, online_list_schedule};
+use moldable::sim::metrics::peak_demand;
+use moldable::sim::{execute, online_list_schedule, ClusterMetrics};
 use moldable::workloads::{hpc_mix_instance, HpcMixParams};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -34,7 +35,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any planner output executes on the simulated cluster with identical
-    /// makespan and pairwise-disjoint processor segments.
+    /// makespan and a valid placement (no processor held twice at once).
     #[test]
     fn planner_output_always_executes(inst in table_instance()) {
         let eps = Ratio::new(1, 3);
@@ -42,13 +43,12 @@ proptest! {
         prop_assert!(validate(&res.schedule, &inst).is_ok());
         let ex = execute(&inst, &res.schedule).expect("validated plans execute");
         prop_assert_eq!(ex.makespan, res.schedule.makespan(&inst));
-        prop_assert!(ex.trace.check_disjoint().is_ok());
-        prop_assert!(ex.trace.peak_demand() <= inst.m());
-        // Work conservation: trace area equals plan work.
-        prop_assert_eq!(
-            ex.trace.busy_area(),
-            Ratio::from_int(res.schedule.total_work(&inst))
-        );
+        prop_assert!(ex.placement.validate(inst.m()).is_ok());
+        prop_assert_eq!(ex.placement.jobs.len(), inst.n());
+        prop_assert!(peak_demand(&ex.placement) <= inst.m());
+        // Work conservation: busy area equals plan work.
+        let metrics = ClusterMetrics::from_placement(&ex.placement, inst.m());
+        prop_assert!(metrics.work_conserved(&inst, &res.schedule));
     }
 
     /// The online list-scheduling simulator agrees with the analytic list
@@ -76,7 +76,7 @@ proptest! {
         );
         let sim = online_list_schedule(&inst, &allot, &order).unwrap();
         prop_assert_eq!(sim.makespan, analytic.makespan(&inst));
-        prop_assert!(sim.trace.check_disjoint().is_ok());
+        prop_assert!(sim.placement.validate(m).is_ok());
     }
 
     /// FPTAS guarantee on arbitrary instances: profit ≥ (1−ε)·OPT and the

@@ -1,9 +1,13 @@
 //! Cross-check the discrete-event simulator against the analytic validator:
 //! every schedule any algorithm emits must execute on the simulated
 //! cluster with the same makespan, with per-processor disjointness, and
-//! with work conservation.
+//! with work conservation — onto the processor ids of its contiguous
+//! lowering.
 
+use moldable::core::view::JobView;
 use moldable::prelude::*;
+use moldable::sched::place_contiguous;
+use moldable::sim::metrics::peak_demand;
 use moldable::sim::{execute, online_list_schedule, ClusterMetrics};
 use moldable::workloads::{adversarial_instance, hpc_mix_instance, HpcMixParams};
 use rand::rngs::SmallRng;
@@ -37,16 +41,20 @@ fn every_algorithm_output_executes() {
                     algo.name(),
                     family.name()
                 );
-                ex.trace.check_disjoint().unwrap_or_else(|(i, j)| {
-                    panic!(
-                        "{} on {}: segments {i} and {j} overlap",
-                        algo.name(),
-                        family.name()
-                    )
-                });
-                assert!(ex.trace.peak_demand() <= m);
-                let metrics = ClusterMetrics::from_trace(&ex.trace);
-                assert!(metrics.work_conserved(&inst, &res.schedule, &ex.trace));
+                ex.placement
+                    .validate(m)
+                    .unwrap_or_else(|e| panic!("{} on {}: {e}", algo.name(), family.name()));
+                assert_eq!(ex.placement.jobs.len(), n);
+                assert_eq!(
+                    ex.placement,
+                    place_contiguous(&JobView::build(&inst), &res.schedule).unwrap(),
+                    "{} on {}: executor and lowering hand out different ids",
+                    algo.name(),
+                    family.name()
+                );
+                assert!(peak_demand(&ex.placement) <= m);
+                let metrics = ClusterMetrics::from_placement(&ex.placement, m);
+                assert!(metrics.work_conserved(&inst, &res.schedule));
             }
         }
     }
@@ -61,7 +69,7 @@ fn adversarial_thresholds_execute() {
             let res = approximate(&inst, algo.as_ref(), &eps);
             validate(&res.schedule, &inst).unwrap();
             let ex = execute(&inst, &res.schedule).unwrap();
-            assert!(ex.trace.check_disjoint().is_ok());
+            assert!(ex.placement.validate(inst.m()).is_ok());
         }
     }
 }
@@ -89,6 +97,8 @@ fn online_executor_matches_analytic_list_scheduler() {
             "trial {trial}: online simulator diverges from analytic list scheduler"
         );
         validate(&sim.schedule, &inst).unwrap();
+        assert_eq!(sim.placement.jobs.len(), n);
+        assert!(sim.placement.validate(m).is_ok());
     }
 }
 
@@ -98,7 +108,7 @@ fn utilization_bounded_and_positive() {
     let eps = Ratio::new(1, 4);
     let res = approximate(&inst, &ImprovedDual::new_linear(eps), &eps);
     let ex = execute(&inst, &res.schedule).unwrap();
-    let metrics = ClusterMetrics::from_trace(&ex.trace);
+    let metrics = ClusterMetrics::from_placement(&ex.placement, 64);
     assert!(metrics.utilization > Ratio::zero());
     assert!(metrics.utilization <= Ratio::one());
     assert_eq!(metrics.jobs.len(), 30);

@@ -68,9 +68,8 @@ fn epoch_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) -> 
         for p in schedule.placement.iter().flat_map(|pl| &pl.jobs) {
             batch[p.job as usize].placed = Some(p.procs.clone());
         }
-        for seg in &ex.trace.segments {
-            let o = &mut batch[seg.job as usize];
-            o.completion = o.completion.max(clock.add(&seg.end));
+        for p in &ex.placement.jobs {
+            batch[p.job as usize].completion = clock.add(&p.end);
         }
         let end = clock.add(&ex.makespan);
         rows.push(EpochRow {
@@ -121,7 +120,7 @@ fn assert_engine_matches_oracle(stream: &[StreamJob], m: Procs, solver: &dyn Mak
     );
 }
 
-fn arrival_stream() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+fn arrival_specs() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     // (gap to previous arrival, sequential time, width hint) per job;
     // cumulative gaps keep the stream sorted by construction.
     prop::collection::vec((0u64..30, 1u64..25, 1u64..6), 1..12)
@@ -185,7 +184,7 @@ proptest! {
     /// epoch count, and fairness agree exactly for every solver.
     #[test]
     fn event_engine_matches_epoch_scheme(
-        spec in arrival_stream(),
+        spec in arrival_specs(),
         m in 1u64..6,
         solver_idx in 0usize..SOLVERS.len(),
     ) {
@@ -202,7 +201,7 @@ proptest! {
     /// engine still emits exactly one observation per stream index.
     #[test]
     fn bounded_batches_conserve_jobs(
-        spec in arrival_stream(),
+        spec in arrival_specs(),
         m in 1u64..6,
         cap in 1usize..4,
     ) {
@@ -249,7 +248,7 @@ proptest! {
     /// FIFO run exactly, for any half-life and batch cap.
     #[test]
     fn single_user_fairshare_reproduces_fifo(
-        spec in arrival_stream(),
+        spec in arrival_specs(),
         m in 1u64..6,
         cap in 1usize..4,
         half_life in 1u64..64,
@@ -288,7 +287,7 @@ proptest! {
     /// rows still partition the stream.
     #[test]
     fn fairshare_conserves_jobs_across_users(
-        spec in arrival_stream(),
+        spec in arrival_specs(),
         m in 1u64..6,
         cap in 1usize..4,
         half_life in 1u64..64,
