@@ -1,7 +1,7 @@
 //! Scaling of the streaming event-driven simulator on Lublin–Feitelson
 //! model streams: generator throughput alone, the full event loop at
-//! increasing job counts, fair-share against FIFO, and the uncapped
-//! epoch discipline.
+//! increasing job counts, fair-share against FIFO, a finer ε against the
+//! default, and the uncapped epoch discipline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::ratio::Ratio;
@@ -51,13 +51,29 @@ fn bench_stream_sim(c: &mut Criterion) {
         fairshare: Some(FairshareOptions::default()),
         ..StreamOptions::default()
     };
-    let fair_params = LublinParams::new(256, 8_000, 7);
+    let params_8k = LublinParams::new(256, 8_000, 7);
     group.bench_with_input(
         BenchmarkId::new("event-engine-fairshare", 8_000),
-        &fair_params,
+        &params_8k,
         |b, p| {
             b.iter(|| {
                 run_stream(stream_of(p), p.m, solver.as_ref(), &fair_opts, |_, _| {})
+                    .expect("generated streams are sorted")
+            })
+        },
+    );
+
+    // The same 8000-job stream at ε = 1/16. The CI gate holds this within
+    // 8x of the ε = 1/4 row relationally: a probe whose rounding cost
+    // grows like ε⁻² fails it (a per-probe profit grid put this ratio
+    // near 35).
+    let fine = solver_by_name("linear", &Ratio::new(1, 16)).expect("registry has linear");
+    group.bench_with_input(
+        BenchmarkId::new("event-engine-eps16", 8_000),
+        &params_8k,
+        |b, p| {
+            b.iter(|| {
+                run_stream(stream_of(p), p.m, fine.as_ref(), &opts, |_, _| {})
                     .expect("generated streams are sorted")
             })
         },

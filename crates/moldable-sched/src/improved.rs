@@ -12,7 +12,9 @@
 //!   `geom(s/2, s, 1+4ρ)` — by Lemma 17 only `O(1/δ)` values occur, and by
 //!   Lemma 18 wide jobs use only the top two;
 //! * profits of jobs narrow in both shelves are rounded to `0` (below
-//!   `δd/2`) or **up** onto `geom(δd/2, bd/2, 1+δ/b)`.
+//!   `δd/2`) or **up** to their top `bitlen(⌈b/δ⌉) + 1` significant bits,
+//!   within the factor `1+δ/b` that Lemma 19 charges the paper's grid
+//!   `geom(δd/2, bd/2, 1+δ/b)` ([`crate::rounding::ProfitRounding`]).
 //!
 //! Identically-rounded jobs form one bounded-knapsack type; binary container
 //! splitting plus Algorithm 2 solves the whole thing in time polynomial in

@@ -14,7 +14,13 @@
 //! * times of jobs wide in a shelf round **down** onto
 //!   `geom(s/2, s, 1+4ρ)` per shelf height `s ∈ {d, d/2}` (Lemma 17);
 //! * profits of jobs narrow in both shelves round to `0` (below `δd/2`)
-//!   or **up** onto `geom(δd/2, bd/2, 1+δ/b)`.
+//!   or **up** to their top `B = bitlen(⌈b/δ⌉) + 1` significant bits
+//!   ([`ProfitRounding`]). As `2^(B−1) ≥ b/δ`, no profit grows by more
+//!   than the factor `1+δ/b` that Lemma 19 charges the paper's grid
+//!   `geom(δd/2, bd/2, 1+δ/b)`, and `[δd/2, bd/2]` holds
+//!   `O((b/δ)·log(b/δ))` classes, the order of Lemma 14's grid (DESIGN
+//!   §Substitution notes). A profit costs one shift and add; no profit
+//!   grid is built.
 
 use crate::shelves::ShelfContext;
 use moldable_core::compression::{DoubleCompression, SizeClassGrid};
@@ -36,25 +42,39 @@ pub struct RoundedTypes {
     pub jobs_by_type: Vec<Vec<JobId>>,
 }
 
-/// Integer "round-up" geometric grid: first value ≥ lo, factor x, covering hi.
-fn up_grid(lo: &Ratio, hi: &Ratio, x: &Ratio) -> Vec<u128> {
-    let mut g = vec![lo.ceil().max(1)];
-    while Ratio::from_int(*g.last().unwrap()) < *hi {
-        let cur = *g.last().unwrap();
-        let nxt = (x.mul_int(cur).ceil()).max(cur + 1);
-        g.push(nxt);
-    }
-    g
+/// The profit rounding of Section 4.3.1 at one target `d`: profits below
+/// `δd/2` become `0`, the rest round **up** to their top `B` significant
+/// bits, `B = bitlen(⌈b/δ⌉) + 1`.
+#[derive(Clone, Copy, Debug)]
+pub struct ProfitRounding {
+    /// `⌈δd/2⌉`: an integer profit is below `δd/2` iff it is below this.
+    floor: Work,
+    /// `B`, so that `2^(B−1) > ⌈b/δ⌉ ≥ b/δ`.
+    bits: u32,
 }
 
-/// Smallest grid value ≥ v (grids from [`up_grid`] always cover their range;
-/// extend defensively if v exceeds the top).
-fn round_up_int(v: u128, grid: &[u128]) -> u128 {
-    let idx = grid.partition_point(|&g| g < v);
-    if idx < grid.len() {
-        grid[idx]
-    } else {
-        v // beyond the analyzed range — keep exact (defensive)
+impl ProfitRounding {
+    /// The rounding under `dc`'s parameters at target `d`.
+    pub fn new(dc: &DoubleCompression, d: Time) -> Self {
+        let b_over_delta = Ratio::from_int(u128::from(dc.b())).div(dc.delta()).ceil();
+        ProfitRounding {
+            floor: dc.delta().mul_int(u128::from(d)).div_int(2).ceil(),
+            bits: u128::BITS - b_over_delta.leading_zeros() + 1,
+        }
+    }
+
+    /// Round one profit. A profit `v ≥ δd/2` of at most `B` bits comes
+    /// back unchanged; a longer one has its low bits rounded up, so
+    /// `v ≤ r < v·(1 + 2^−(B−1)) ≤ v·(1 + δ/b)`. A round-up past
+    /// `u128::MAX` saturates there, which keeps both bounds.
+    pub fn round(&self, v: Work) -> Work {
+        if v < self.floor {
+            return 0;
+        }
+        let shift = (u128::BITS - v.leading_zeros()).saturating_sub(self.bits);
+        let unit = 1u128 << shift;
+        let top = (v >> shift) + u128::from(v & (unit - 1) != 0);
+        top.saturating_mul(unit)
     }
 }
 
@@ -68,7 +88,6 @@ pub fn round_knapsack_types(
 ) -> RoundedTypes {
     let b = dc.b();
     let rho = dc.rho();
-    let delta = dc.delta();
     let d_ratio = Ratio::from(d);
     let half_d = d_ratio.div_int(2);
 
@@ -86,9 +105,7 @@ pub fn round_knapsack_types(
             grid[idx - 1]
         }
     };
-    let profit_lo = delta.mul_int(d as u128).div_int(2); // δd/2
-    let profit_hi = Ratio::from_int(b as u128).mul_int(d as u128).div_int(2); // bd/2
-    let profit_grid = up_grid(&profit_lo, &profit_hi, &delta.div_int(b as u128).one_plus());
+    let profits = ProfitRounding::new(dc, d);
 
     // Round every knapsack job to a type.
     let mut groups: BTreeMap<(u64, Work, bool), Vec<JobId>> = BTreeMap::new();
@@ -99,11 +116,7 @@ pub fn round_knapsack_types(
         let rounded_half = sizes.round_down(gamma_half);
         let profit: Work = if rounded_half < b {
             // Narrow in S2: round the original profit.
-            if Ratio::from_int(bj.profit) < profit_lo {
-                0
-            } else {
-                round_up_int(bj.profit, &profit_grid)
-            }
+            profits.round(bj.profit)
         } else {
             // Wide in S2: saved work according to rounded values.
             let t_d = round_time(view.time(bj.id, bj.gamma_d), &time_grid_d);
@@ -185,5 +198,61 @@ mod tests {
                 assert!(t.size >= 1);
             }
         }
+    }
+
+    #[test]
+    fn types_partition_the_knapsack_jobs_at_eps_1_16() {
+        // δ = ε/5 at ε = 1/16 (b = 481) on machines wider than b, with
+        // near-linear speedups so profits run past the B = 17 kept bits.
+        // Each job's type carries its own rounded size and, when it is
+        // narrow in S2, its own profit rounded by `ProfitRounding`.
+        let mut seed = 0x5EED_1616_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let dc = DoubleCompression::for_delta(Ratio::new(1, 80));
+        let mut rounded_profits = 0;
+        for _ in 0..60 {
+            let m = next() % 2000 + 1;
+            let n = (next() % 12 + 1) as usize;
+            let curves: Vec<SpeedupCurve> = (0..n)
+                .map(|_| {
+                    let (t1, c) = (next() % 1_000_000 + 1, next() % 4000 + 1);
+                    let mut tbl: Vec<u64> = (0..m).map(|p| (t1 * c).div_ceil(c + p)).collect();
+                    monotone_closure(&mut tbl);
+                    SpeedupCurve::Table(Arc::new(tbl))
+                })
+                .collect();
+            let inst = Instance::new(curves, m);
+            let view = JobView::build(&inst);
+            let d = next() % 1_000_000 + 2;
+            let Some(ctx) = ShelfContext::build(&view, d) else {
+                continue;
+            };
+            let rt = round_knapsack_types(&view, &ctx, &dc, d);
+            let mut seen: Vec<JobId> = rt.jobs_by_type.concat();
+            seen.sort_unstable();
+            let mut expect: Vec<JobId> = ctx.knapsack_jobs.iter().map(|b| b.id).collect();
+            expect.sort_unstable();
+            assert_eq!(seen, expect, "types must partition the knapsack jobs");
+            let sizes = SizeClassGrid::build(&dc, m);
+            let profits = ProfitRounding::new(&dc, d);
+            for (t, jobs) in rt.types.iter().zip(&rt.jobs_by_type) {
+                assert_eq!(t.count as usize, jobs.len());
+                for &j in jobs {
+                    let bj = ctx.knapsack_jobs.iter().find(|b| b.id == j).unwrap();
+                    assert_eq!(t.size, sizes.round_down(bj.gamma_d));
+                    assert_eq!(t.compressible, bj.gamma_d >= dc.b());
+                    if bj.gamma_half_d.unwrap() < dc.b() {
+                        assert_eq!(t.profit, profits.round(bj.profit));
+                        rounded_profits += usize::from(t.profit != bj.profit && t.profit != 0);
+                    }
+                }
+            }
+        }
+        assert!(rounded_profits > 0, "no profit was rounded up");
     }
 }

@@ -547,10 +547,38 @@ impl App {
     }
 }
 
-/// Substring search over raw bytes (`memmem` without the dependency);
-/// request bodies are short and this only runs once per request.
+/// Substring search over raw bytes (`memmem` without the dependency).
+/// It runs on every memo hit over the whole body, so it scans eight bytes
+/// per step: the SWAR zero-byte test marks the bytes equal to the
+/// needle's first byte, and only those are compared against the whole
+/// needle. The test may mark extra bytes, never too few, so the answer is
+/// that of `haystack.windows(needle.len()).any(|w| w == needle)`.
 fn contains_bytes(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let Some(&first) = needle.first() else {
+        return true;
+    };
+    let Some(last_start) = haystack.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    let matches_at = |i: usize| haystack[i..].starts_with(needle);
+    let pattern = ONES * u64::from(first);
+    let mut i = 0;
+    while i <= last_start && i + 8 <= haystack.len() {
+        let word = u64::from_le_bytes(haystack[i..i + 8].try_into().expect("8-byte word"));
+        let x = word ^ pattern;
+        let mut marks = x.wrapping_sub(ONES) & !x & HIGHS;
+        while marks != 0 {
+            let at = i + (marks.trailing_zeros() / 8) as usize;
+            if at <= last_start && matches_at(at) {
+                return true;
+            }
+            marks &= marks - 1;
+        }
+        i += 8;
+    }
+    (i..=last_start).any(matches_at)
 }
 
 /// The in-request quota check, shared by the service's admission and
@@ -1468,5 +1496,85 @@ mod tests {
         assert_eq!(kind(&sr), ErrorKind::InvalidSchedule);
         sr.placements = true;
         assert_eq!(kind(&sr), ErrorKind::Placement);
+    }
+}
+
+/// The memo-hit path's `"tenant"` scan: the word-at-a-time
+/// [`contains_bytes`] gives the answer of the byte-window scan it replaced
+/// on every body, wherever the needle sits relative to the 8-byte words.
+#[cfg(test)]
+mod contains_bytes_tests {
+    use super::contains_bytes;
+    use proptest::prelude::*;
+
+    const NEEDLE: &[u8] = b"\"tenant\"";
+
+    /// The scan it replaced: one needle-length window per byte.
+    fn windows_oracle(haystack: &[u8], needle: &[u8]) -> bool {
+        haystack.windows(needle.len()).any(|w| w == needle)
+    }
+
+    /// Bytes drawn mostly from the needle's own letters and dense in `"`,
+    /// so near-misses and candidate positions abound.
+    fn dense_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(0usize..10, 0..max_len)
+            .prop_map(|picks| picks.into_iter().map(|i| b"\"\"\"tenant\x00"[i]).collect())
+    }
+
+    /// The needle at every offset of a filler body of every length up to
+    /// 40, so it starts in each lane of a word, straddles word boundaries
+    /// and ends in the last 7 bytes; bodies shorter than 8 bytes included.
+    #[test]
+    fn needle_found_at_every_offset() {
+        for len in 0..=40usize {
+            for filler in [b'x', b'"', b't'] {
+                let body = vec![filler; len];
+                assert_eq!(contains_bytes(&body, NEEDLE), windows_oracle(&body, NEEDLE));
+                for at in 0..(len + 1).saturating_sub(NEEDLE.len()) {
+                    let mut body = body.clone();
+                    body[at..at + NEEDLE.len()].copy_from_slice(NEEDLE);
+                    assert!(contains_bytes(&body, NEEDLE), "len={len} at={at}");
+                    // One byte short of the needle: found only where the
+                    // filler completes it elsewhere.
+                    let cut = &body[..at + NEEDLE.len() - 1];
+                    assert_eq!(
+                        contains_bytes(cut, NEEDLE),
+                        windows_oracle(cut, NEEDLE),
+                        "len={len} at={at}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Random bodies dense in `"`, against random short needles and
+        /// the service's `"tenant"`.
+        #[test]
+        fn scan_matches_the_windows_oracle(
+            body in dense_bytes(96),
+            needle in dense_bytes(10),
+        ) {
+            prop_assert_eq!(contains_bytes(&body, NEEDLE), windows_oracle(&body, NEEDLE));
+            if !needle.is_empty() {
+                prop_assert_eq!(contains_bytes(&body, &needle), windows_oracle(&body, &needle));
+            }
+        }
+
+        /// Arbitrary bytes, including every byte value above `"` that a
+        /// wrong zero-byte test would confuse with it.
+        #[test]
+        fn scan_matches_the_oracle_on_arbitrary_bytes(
+            body in prop::collection::vec(0u8..=255, 0..64),
+            at in 0usize..64,
+        ) {
+            prop_assert_eq!(contains_bytes(&body, NEEDLE), windows_oracle(&body, NEEDLE));
+            let mut planted = body.clone();
+            let at = at.min(planted.len());
+            planted.splice(at..at, NEEDLE.iter().copied());
+            prop_assert!(contains_bytes(&planted, NEEDLE));
+        }
     }
 }

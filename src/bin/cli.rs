@@ -252,7 +252,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         }
     };
     let spec = InstanceSpec::from_instance(&inst).ok_or("unserializable instance")?;
-    println!("{}", serde_json::to_string_pretty(&spec).unwrap());
+    // Compact: an instance file is read back by programs, and at 10⁴–10⁵
+    // jobs loading it is most of `solve`, `validate` and plan `simulate`.
+    println!("{}", serde_json::to_string(&spec).unwrap());
     Ok(())
 }
 
