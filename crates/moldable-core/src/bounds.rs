@@ -4,7 +4,6 @@
 //! too large for the exact solver: `ratio_vs_lower_bound ≥ ratio_vs_OPT`.
 
 use crate::instance::Instance;
-use crate::ratio::Ratio;
 use crate::types::{JobId, Time, Work};
 use crate::view::JobView;
 
@@ -61,7 +60,9 @@ pub fn upper_bound_seq_view(view: &JobView) -> Time {
 }
 
 /// [`parametric_lower_bound`] through a prebuilt [`JobView`]: each
-/// probe's `n` γ-queries are served as array lookups.
+/// probe's `n` γ-queries are served as array lookups, and no probe
+/// allocates. For `n ≥ 1` this is also the factor-2 estimator's `ω`
+/// (Section 3), which bisects on the same test.
 pub fn parametric_lower_bound_view(view: &JobView) -> Time {
     let (mut lo, mut hi) = (0u64, upper_bound_seq_view(view).max(1));
     debug_assert!(feasible_by_test_view(view, hi));
@@ -80,10 +81,9 @@ fn feasible_by_test_view(view: &JobView, d: Time) -> bool {
     if d == 0 {
         return view.n() == 0;
     }
-    let thr = Ratio::from(d);
     let mut total: Work = 0;
     for j in 0..view.n() as JobId {
-        match view.gamma(j, &thr) {
+        match view.gamma_int(j, d) {
             None => return false,
             Some(p) => total += view.work(j, p),
         }
@@ -95,6 +95,7 @@ fn feasible_by_test_view(view: &JobView, d: Time) -> bool {
 mod tests {
     use super::*;
     use crate::gamma::gamma;
+    use crate::ratio::Ratio;
     use crate::speedup::SpeedupCurve;
 
     fn two_constant_jobs() -> Instance {

@@ -72,35 +72,6 @@ pub fn time_le(t: Time, threshold: &Ratio) -> bool {
     threshold.ge_int(t as u128)
 }
 
-/// The five γ values Algorithm 1/3 precompute per big job
-/// (`γ(d/2), γ(d), γ(d'/2), γ(d'), γ(3d'/2)`), bundled to avoid recomputation.
-#[derive(Clone, Copy, Debug)]
-pub struct GammaSet {
-    /// `γ_j(d/2)` — processors needed to finish within half the target.
-    pub half_d: Option<Procs>,
-    /// `γ_j(d)`.
-    pub d: Option<Procs>,
-    /// `γ_j(d'/2)` for the stretched target `d' ≥ d`.
-    pub half_d_prime: Option<Procs>,
-    /// `γ_j(d')`.
-    pub d_prime: Option<Procs>,
-    /// `γ_j(3d'/2)`.
-    pub three_half_d_prime: Option<Procs>,
-}
-
-impl GammaSet {
-    /// Compute all five canonical allotments for `job`.
-    pub fn compute(job: &Job, d: &Ratio, d_prime: &Ratio, m: Procs) -> Self {
-        GammaSet {
-            half_d: gamma(job, &d.div_int(2), m),
-            d: gamma(job, d, m),
-            half_d_prime: gamma(job, &d_prime.div_int(2), m),
-            d_prime: gamma(job, d_prime, m),
-            three_half_d_prime: gamma(job, &d_prime.mul(&Ratio::new(3, 2)), m),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,20 +144,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn gamma_set_precomputes_consistently() {
-        let j = table_job(vec![12, 7, 5, 4]);
-        let d = Ratio::from_int(8);
-        let d_prime = Ratio::new(48, 5); // 9.6
-        let gs = GammaSet::compute(&j, &d, &d_prime, 4);
-        assert_eq!(gs.d, gamma(&j, &d, 4));
-        assert_eq!(gs.half_d, gamma(&j, &Ratio::from_int(4), 4));
-        assert_eq!(gs.d_prime, gamma(&j, &d_prime, 4));
-        assert_eq!(
-            gs.three_half_d_prime,
-            gamma(&j, &Ratio::new(72, 5), 4) // 14.4
-        );
     }
 }

@@ -45,40 +45,6 @@ pub fn rgeom(lo: &Ratio, hi: &Ratio, x: &Ratio) -> Vec<Ratio> {
     out
 }
 
-/// Largest grid value `≤ v` (the paper's `gˇr(v, L, U, x)`), or `None` if
-/// `v` is below the whole grid. `grid` must be sorted ascending.
-pub fn round_down_to_grid(v: &Ratio, grid: &[Ratio]) -> Option<Ratio> {
-    let idx = grid.partition_point(|g| g <= v);
-    if idx == 0 {
-        None
-    } else {
-        Some(grid[idx - 1])
-    }
-}
-
-/// Index of the largest grid value `≤ v`; `None` if below the grid.
-pub fn bucket_down(v: &Ratio, grid: &[Ratio]) -> Option<usize> {
-    let idx = grid.partition_point(|g| g <= v);
-    idx.checked_sub(1)
-}
-
-/// Smallest grid value `≥ v` (the paper's `gˆr`), or `None` if `v` exceeds
-/// the whole grid.
-pub fn round_up_to_grid(v: &Ratio, grid: &[Ratio]) -> Option<Ratio> {
-    let idx = grid.partition_point(|g| g < v);
-    grid.get(idx).copied()
-}
-
-/// Index of the smallest grid value `≥ v`.
-pub fn bucket_up(v: &Ratio, grid: &[Ratio]) -> Option<usize> {
-    let idx = grid.partition_point(|g| g < v);
-    if idx < grid.len() {
-        Some(idx)
-    } else {
-        None
-    }
-}
-
 /// Integer geometric grid `lo = g_0 < g_1 < … ≤` first value `≥ hi`, with
 /// step factor `x > 1`, guaranteeing for consecutive values
 /// `g_{i+1} ≤ max(g_i + 1, ⌊g_i · x⌋)` — i.e. the relative gap never exceeds
@@ -102,11 +68,11 @@ pub fn igeom_covering(lo: u64, hi: u64, x: &Ratio) -> Vec<u64> {
     out
 }
 
-/// Largest value of an ascending integer grid that is `≤ v`, or `None`
-/// when `v` is below the whole grid — the integer fast path of
-/// [`round_down_to_grid`] used on processor-count grids (the Lemma-14
-/// rounding of Section 4.3.1), where both the grid and the query are
-/// plain `u64`s and no rational arithmetic is needed.
+/// Largest value of an ascending integer grid that is `≤ v` (the paper's
+/// `gˇr(v, L, U, x)`), or `None` when `v` is below the whole grid — used on
+/// processor-count grids (the Lemma-14 rounding of Section 4.3.1), where
+/// both the grid and the query are plain `u64`s and no rational arithmetic
+/// is needed.
 #[inline]
 pub fn round_down_u64(v: u64, grid: &[u64]) -> Option<u64> {
     let idx = grid.partition_point(|&g| g <= v);
@@ -179,23 +145,11 @@ mod tests {
 
     #[test]
     fn rounding_to_grid() {
-        let g = vec![Ratio::from_int(2), Ratio::from_int(4), Ratio::from_int(8)];
-        assert_eq!(
-            round_down_to_grid(&Ratio::from_int(5), &g),
-            Some(Ratio::from_int(4))
-        );
-        assert_eq!(
-            round_down_to_grid(&Ratio::from_int(4), &g),
-            Some(Ratio::from_int(4))
-        );
-        assert_eq!(round_down_to_grid(&Ratio::from_int(1), &g), None);
-        assert_eq!(
-            round_up_to_grid(&Ratio::from_int(5), &g),
-            Some(Ratio::from_int(8))
-        );
-        assert_eq!(round_up_to_grid(&Ratio::from_int(9), &g), None);
-        assert_eq!(bucket_down(&Ratio::from_int(5), &g), Some(1));
-        assert_eq!(bucket_up(&Ratio::from_int(5), &g), Some(2));
+        let g = [2u64, 4, 8];
+        assert_eq!(round_down_u64(5, &g), Some(4));
+        assert_eq!(round_down_u64(4, &g), Some(4));
+        assert_eq!(round_down_u64(9, &g), Some(8));
+        assert_eq!(round_down_u64(1, &g), None);
     }
 
     #[test]

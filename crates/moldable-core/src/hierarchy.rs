@@ -12,15 +12,10 @@
 //! by start, tiling `0..m` — so the block holding a processor is one
 //! binary search away: validation, [`Topology::span_blocks`],
 //! [`Topology::split_by_block`] and fragmentation never scan a level's
-//! blocks. Whole-block claiming ([`Topology::find_hierarchical`]) still
-//! walks them.
+//! blocks.
 //!
-//! Three primitives build on the tree:
+//! Two primitives build on the tree:
 //!
-//! * [`Topology::find_hierarchical`] — OAR-style whole-block claiming:
-//!   given the free set and one count per level (`[2, 1]` = "2 nodes,
-//!   1 socket in each"), claim entirely-free blocks level by level,
-//!   recursing inside each claimed block.
 //! * [`Topology::span_blocks`] — locality scoring: how many blocks at a
 //!   level a processor set touches (1 = perfectly packed).
 //! * [`FragmentationReport`] — per-placement aggregate of spans at every
@@ -411,61 +406,6 @@ impl Topology {
         self.levels.iter().position(|l| l.name == name)
     }
 
-    /// Is this the trivial one-level `flat` hierarchy?
-    pub fn is_flat(&self) -> bool {
-        self.levels.len() == 1 && self.levels[0].blocks.len() == 1
-    }
-
-    /// OAR-style hierarchical claim: `requests[k]` whole blocks at level
-    /// `k`, each claimed block recursing into the next level. All the
-    /// claimed leaf blocks must be entirely free in `free`. Returns the
-    /// union of claimed leaves, or `None` when not enough entirely-free
-    /// blocks exist at some level.
-    ///
-    /// `requests` may be shorter than the level count (the recursion
-    /// stops there and claims whole blocks of the last requested level);
-    /// an empty request claims nothing (`Some(∅)`).
-    pub fn find_hierarchical(&self, free: &ProcSet, requests: &[u64]) -> Option<ProcSet> {
-        if requests.is_empty() {
-            return Some(ProcSet::new());
-        }
-        self.claim_level(free, &ProcSet::full(self.m), 0, requests)
-    }
-
-    /// Claim `requests[depth]` entirely-free blocks of level `depth`
-    /// inside `within`, recursing per claimed block.
-    fn claim_level(
-        &self,
-        free: &ProcSet,
-        within: &ProcSet,
-        depth: usize,
-        requests: &[u64],
-    ) -> Option<ProcSet> {
-        let want = requests[depth];
-        let last = depth + 1 >= requests.len() || depth + 1 >= self.levels.len();
-        let mut claimed = ProcSet::new();
-        let mut got = 0u64;
-        for block in &self.levels[depth].blocks {
-            if got == want {
-                break;
-            }
-            if !within.is_superset(block) {
-                continue;
-            }
-            if last {
-                // Leaf of the request: the whole block must be free.
-                if free.is_superset(block) {
-                    claimed = claimed.union(block);
-                    got += 1;
-                }
-            } else if let Some(inner) = self.claim_level(free, block, depth + 1, requests) {
-                claimed = claimed.union(&inner);
-                got += 1;
-            }
-        }
-        (got == want).then_some(claimed)
-    }
-
     /// How many blocks at level `index` the set touches — the locality
     /// score (1 = fully packed inside one block). Empty sets span 0, and
     /// processors at or past `m` touch no block. Costs two binary
@@ -582,7 +522,6 @@ mod tests {
     #[test]
     fn flat_is_one_machine_block() {
         let t = Topology::flat(8);
-        assert!(t.is_flat());
         assert_eq!(t.m(), 8);
         assert_eq!(t.levels().len(), 1);
         assert_eq!(t.levels()[0].name, "machine");
@@ -600,7 +539,6 @@ mod tests {
         assert_eq!(t.levels()[2].blocks.len(), 8);
         assert_eq!(t.levels()[0].blocks[1], ProcSet::range(4, 7));
         assert_eq!(t.levels()[1].blocks[2], ProcSet::range(4, 5));
-        assert!(!t.is_flat());
     }
 
     #[test]
@@ -710,46 +648,6 @@ mod tests {
             limit: 4,
         };
         assert!(e.to_string().contains("9 blocks"), "{e}");
-    }
-
-    #[test]
-    fn find_hierarchical_claims_whole_blocks() {
-        let t = Topology::uniform(&[2, 2, 2]).unwrap();
-        let free = ProcSet::full(8);
-        // One node = 4 processors.
-        assert_eq!(t.find_hierarchical(&free, &[1]), Some(ProcSet::range(0, 3)));
-        // One node, one socket inside it = 2 processors.
-        assert_eq!(
-            t.find_hierarchical(&free, &[1, 1]),
-            Some(ProcSet::range(0, 1))
-        );
-        // Two nodes, one socket each = {0-1, 4-5}.
-        assert_eq!(
-            t.find_hierarchical(&free, &[2, 1]),
-            Some(ProcSet::from_ranges([(0, 1), (4, 5)]))
-        );
-        // Empty request claims nothing.
-        assert_eq!(t.find_hierarchical(&free, &[]), Some(ProcSet::new()));
-    }
-
-    #[test]
-    fn find_hierarchical_skips_busy_blocks() {
-        let t = Topology::uniform(&[2, 2, 2]).unwrap();
-        // Processor 1 busy: socket 0-1 unusable, node 0 unusable whole.
-        let free = ProcSet::full(8).subtract(&ProcSet::range(1, 1));
-        assert_eq!(t.find_hierarchical(&free, &[1]), Some(ProcSet::range(4, 7)));
-        // A socket inside node 0 is still claimable: 2-3 is free.
-        assert_eq!(
-            t.find_hierarchical(&free, &[1, 1]),
-            Some(ProcSet::range(2, 3))
-        );
-        // Two whole nodes no longer exist.
-        assert_eq!(t.find_hierarchical(&free, &[2]), None);
-        // Three free sockets exist: 2-3, 4-5, 6-7.
-        assert_eq!(
-            t.find_hierarchical(&free, &[2, 1]),
-            Some(ProcSet::from_ranges([(2, 3), (4, 5)]))
-        );
     }
 
     #[test]

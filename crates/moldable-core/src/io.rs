@@ -19,8 +19,9 @@
 //! ```
 
 use crate::instance::Instance;
+use crate::monotone::MonotoneViolation;
 use crate::speedup::{SpeedupCurve, Staircase, StaircaseError};
-use crate::types::{Procs, Time};
+use crate::types::{Procs, Time, Work};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -57,6 +58,9 @@ pub enum SpecError {
     Staircase(StaircaseError),
     /// An empty table.
     EmptyTable,
+    /// A table whose time rises, or whose work drops, from `t(p)` to
+    /// `t(p+1)` — the first such `p`.
+    NonMonotoneTable(MonotoneViolation),
     /// A zero time.
     ZeroTime,
     /// A machine count of zero.
@@ -68,6 +72,12 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::Staircase(e) => write!(f, "invalid staircase: {e}"),
             SpecError::EmptyTable => write!(f, "table must be non-empty"),
+            SpecError::NonMonotoneTable(MonotoneViolation::TimeIncreased { p }) => {
+                write!(f, "table time rises from p = {p} to p = {}", p + 1)
+            }
+            SpecError::NonMonotoneTable(MonotoneViolation::WorkDecreased { p }) => {
+                write!(f, "table work drops from p = {p} to p = {}", p + 1)
+            }
             SpecError::ZeroTime => write!(f, "processing times must be positive"),
             SpecError::ZeroMachines => write!(f, "machine count must be positive"),
         }
@@ -98,6 +108,19 @@ impl CurveSpec {
                 }
                 if t.contains(&0) {
                     return Err(SpecError::ZeroTime);
+                }
+                // The staircase's two rules: time never rises, work never drops.
+                for (p, w) in (1..).zip(t.windows(2)) {
+                    if w[1] > w[0] {
+                        return Err(SpecError::NonMonotoneTable(
+                            MonotoneViolation::TimeIncreased { p },
+                        ));
+                    }
+                    if (p as Work + 1) * (w[1] as Work) < p as Work * (w[0] as Work) {
+                        return Err(SpecError::NonMonotoneTable(
+                            MonotoneViolation::WorkDecreased { p },
+                        ));
+                    }
                 }
                 Ok(SpeedupCurve::Table(Arc::new(t.clone())))
             }

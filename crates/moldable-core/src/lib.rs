@@ -19,8 +19,8 @@
 //! * the placement substrate: interval sets of processor indices
 //!   ([`procset`]), the `job → (interval, processor set)` layer with its
 //!   validator
-//!   ([`placement`]), and the machine-as-a-tree model with hierarchical
-//!   claiming and fragmentation metrics ([`hierarchy`]).
+//!   ([`placement`]), and the machine-as-a-tree model with locality and
+//!   fragmentation metrics ([`hierarchy`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,7 +45,7 @@ pub mod types;
 pub mod view;
 
 pub use compression::{Compression, DoubleCompression};
-pub use gamma::{gamma, gamma_int, GammaSet};
+pub use gamma::{gamma, gamma_int};
 pub use hash::StableHasher;
 pub use hierarchy::{FragmentationReport, Level, LevelFragmentation, Topology, TopologyError};
 pub use instance::Instance;

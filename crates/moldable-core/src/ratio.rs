@@ -94,11 +94,6 @@ impl Ratio {
         self.num == 0
     }
 
-    /// Is this an integer?
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// `⌊self⌋`.
     pub fn floor(&self) -> u128 {
         self.num / self.den
@@ -223,32 +218,6 @@ impl Ratio {
     /// that depends on consecutive grid ratios being **at most** the step
     /// factor.
     pub fn mul_round_down(&self, other: &Ratio, bits: u32) -> Ratio {
-        self.mul_round(other, bits, false)
-    }
-
-    /// Like [`Ratio::mul_round_down`] but rounds **up** (`r ≥ self·other`).
-    pub fn mul_round_up(&self, other: &Ratio, bits: u32) -> Ratio {
-        self.mul_round(other, bits, true)
-    }
-
-    /// Round so the denominator fits in `bits` bits; `r ≤ self`, relative
-    /// error `≤ 2^-bits` for values ≥ 1.
-    pub fn round_down_bits(&self, bits: u32) -> Ratio {
-        if self.den <= (1u128 << bits.min(127)) {
-            return *self;
-        }
-        self.mul_round_down(&Ratio::one(), bits)
-    }
-
-    /// Round up so the denominator fits in `bits` bits; `r ≥ self`.
-    pub fn round_up_bits(&self, bits: u32) -> Ratio {
-        if self.den <= (1u128 << bits.min(127)) {
-            return *self;
-        }
-        self.mul_round_up(&Ratio::one(), bits)
-    }
-
-    fn mul_round(&self, other: &Ratio, bits: u32, up: bool) -> Ratio {
         debug_assert!((2..=126).contains(&bits));
         if self.is_zero() || other.is_zero() {
             return Ratio::zero();
@@ -258,7 +227,7 @@ impl Ratio {
         let den = self
             .den
             .checked_mul(other.den)
-            .expect("mul_round: denominator product exceeds 128 bits");
+            .expect("mul_round_down: denominator product exceeds 128 bits");
         // Value bits ≈ bits(num_product) − bits(den); cap k so the scaled
         // quotient fits in 127 bits.
         let num_bits = if hi == 0 {
@@ -275,18 +244,20 @@ impl Ratio {
             hi = (hi << 1) | (lo >> 127);
             lo <<= 1;
         }
-        let (q, rem) = div_256_by_128(hi, lo, den);
-        let num = if up && rem != 0 { q + 1 } else { q };
-        if num == 0 {
-            // Value below 2^-k: rounding down hits zero; keep a positive
-            // floor for up-rounding.
-            return if up {
-                Ratio::new(1, 1u128 << k)
-            } else {
-                Ratio::zero()
-            };
+        let (q, _) = div_256_by_128(hi, lo, den);
+        if q == 0 {
+            return Ratio::zero(); // value below 2^-k
         }
-        Ratio::new(num, 1u128 << k)
+        Ratio::new(q, 1u128 << k)
+    }
+
+    /// Round so the denominator fits in `bits` bits; `r ≤ self`, relative
+    /// error `≤ 2^-bits` for values ≥ 1.
+    pub fn round_down_bits(&self, bits: u32) -> Ratio {
+        if self.den <= (1u128 << bits.min(127)) {
+            return *self;
+        }
+        self.mul_round_down(&Ratio::one(), bits)
     }
 
     /// Exact comparison against an integer.
@@ -299,11 +270,6 @@ impl Ratio {
                 (0u128, self.num).cmp(&(hi, lo))
             }
         }
-    }
-
-    /// `self ≤ v` for integer `v`.
-    pub fn le_int(&self, v: u128) -> bool {
-        self.cmp_int(v) != Ordering::Greater
     }
 
     /// `self ≥ v` for integer `v`.
@@ -451,8 +417,8 @@ mod tests {
         assert_eq!(r2.cmp_int((u128::MAX - 1) / 3), Ordering::Greater);
         assert!(r2.ge_int(1));
         let s = Ratio::new(10, 3);
-        assert!(s.le_int(4));
-        assert!(!s.le_int(3));
+        assert!(s.ge_int(3));
+        assert!(!s.ge_int(4));
     }
 
     #[test]
@@ -472,15 +438,6 @@ mod tests {
         let boosted = r.mul(&Ratio::new(1u128 << 60, (1u128 << 60) - 1));
         assert!(boosted >= big, "rounded too far down: {r:?} vs {big:?}");
         assert!(r.num() < (1u128 << 64) && r.den() < (1u128 << 64));
-    }
-
-    #[test]
-    fn round_up_bits_bounds() {
-        let big = Ratio::new((1u128 << 100) + 12345, (1u128 << 99) + 7);
-        let r = big.round_up_bits(64);
-        assert!(r >= big);
-        let shrunk = r.mul(&Ratio::new((1u128 << 60) - 1, 1u128 << 60));
-        assert!(shrunk <= big, "rounded too far up: {r:?} vs {big:?}");
     }
 
     #[test]
@@ -542,12 +499,11 @@ mod tests {
         let x = Ratio::new(101, 100);
         let r = v.mul_round_down(&x, 64);
         assert!(r <= v.mul(&x));
-        // relative error ≤ 2^-50 comfortably: r·(2^50/(2^50−1)) ≥ v·x
+        // relative error ≤ 2^-50 comfortably: r·(2^50/(2^50−1)) ≥ v·x, even
+        // after rounding that product down in turn.
         let boost = Ratio::new(1u128 << 50, (1u128 << 50) - 1);
-        assert!(r.mul_round_up(&boost, 80) >= v.mul(&x));
-        let ru = v.mul_round_up(&x, 64);
-        assert!(ru >= v.mul(&x));
-        assert!(ru.den() <= 1u128 << 64);
+        assert!(r.mul_round_down(&boost, 80) >= v.mul(&x));
+        assert!(r.den() <= 1u128 << 64);
     }
 
     #[test]
@@ -556,11 +512,9 @@ mod tests {
             Ratio::zero().mul_round_down(&Ratio::one(), 32),
             Ratio::zero()
         );
-        // A value below 2^-k floors to zero, ceils to something positive.
+        // A value below 2^-k floors to zero.
         let tiny = Ratio::new(1, u128::MAX);
         assert_eq!(tiny.mul_round_down(&Ratio::one(), 32), Ratio::zero());
-        let up = tiny.mul_round_up(&Ratio::one(), 32);
-        assert!(up > Ratio::zero() && up >= tiny);
     }
 
     #[test]

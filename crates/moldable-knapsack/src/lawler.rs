@@ -146,14 +146,6 @@ impl PairListKnapsack {
     }
 }
 
-/// Solve `(I, ∅, β, 0)` for every `β` in `capacities` in one pass
-/// (Section 4.2.4). Returns solutions in the same order as `capacities`.
-pub fn solve_multi_capacity(items: &[Item], capacities: &[u64]) -> Vec<Solution> {
-    let max_b = capacities.iter().copied().max().unwrap_or(0);
-    let solver = PairListKnapsack::run(items, max_b);
-    capacities.iter().map(|&b| solver.query(b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_capacity_matches_individual_runs() {
+    fn one_run_answers_every_capacity() {
+        // Section 4.2.4: one pass at the largest β serves every smaller β.
         let mut seed = 0xFEED_FACE_CAFE_BEEFu64;
         for _ in 0..40 {
             let n = (xorshift(&mut seed) % 10 + 1) as usize;
@@ -208,9 +201,12 @@ mod tests {
                 })
                 .collect();
             let caps: Vec<u64> = (0..5).map(|_| xorshift(&mut seed) % 70).collect();
-            let multi = solve_multi_capacity(&items, &caps);
-            for (b, sol) in caps.iter().zip(&multi) {
-                assert_eq!(sol.profit, brute_force(&items, *b).profit);
+            let solver = PairListKnapsack::run(&items, caps.iter().copied().max().unwrap());
+            for &b in &caps {
+                let sol = solver.query(b);
+                assert_eq!(sol.profit, brute_force(&items, b).profit);
+                let size: u64 = sol.chosen.iter().map(|&id| items[id as usize].size).sum();
+                assert!(size <= b);
             }
         }
     }
@@ -229,6 +225,5 @@ mod tests {
     fn empty_inputs() {
         let solver = PairListKnapsack::run(&[], 10);
         assert_eq!(solver.query(10), Solution::empty());
-        assert!(solve_multi_capacity(&[], &[]).is_empty());
     }
 }

@@ -35,5 +35,5 @@ pub use compressible::{
 };
 pub use fptas::solve_fptas;
 pub use item::{Item, Solution};
-pub use lawler::{solve_multi_capacity, PairListKnapsack};
+pub use lawler::PairListKnapsack;
 pub use normalized::{IntervalStructure, NormalizedKnapsack};

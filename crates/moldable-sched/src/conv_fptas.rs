@@ -16,10 +16,11 @@
 //!    one size class* is the staircase `g_s[c] = prefix[min(⌊c/s⌋, U_s)]`
 //!    ([`crate::convolve::size_class_profits`]) — exact, because
 //!    same-size units are interchangeable.
-//! 3. Fold the staircases with the cache-blocked (max,+) kernel
-//!    ([`crate::convolve::maxplus_blocked`]), truncating every
-//!    accumulator at the knapsack capacity; backtrack through the saved
-//!    accumulators to recover a concrete, deterministic job choice.
+//! 3. Fold the staircases into one accumulator with the size-class
+//!    (max,+) kernel ([`crate::convolve::maxplus_staircase`]), truncating
+//!    every accumulator at the knapsack capacity; backtrack over the
+//!    staircase steps through the saved accumulators to recover a
+//!    concrete, deterministic job choice.
 //!
 //! Exactness matters for soundness: the optimal S1 choice induced by any
 //! schedule of makespan `d` fits the capacity under rounded-*down* sizes,
@@ -27,19 +28,17 @@
 //! argument goes through verbatim — the guarantee is the same
 //! `3/2·(1+δ)²` as Algorithm 3's heap variant. Each probe additionally
 //! assembles Algorithm 3's approximate choice over the *same* rounded
-//! types (the compressible knapsack is cheap next to the dense fold) and
-//! keeps the better of the two schedules, so no accepted target ever
-//! lands worse than Algorithm 3's — pinned at ≥95% beat-or-match over
-//! the differential corpus in `tests/differential.rs`.
+//! types and keeps the better of the two schedules, so no accepted target
+//! ever lands worse than Algorithm 3's — pinned at ≥95% beat-or-match
+//! over the differential corpus in `tests/differential.rs`.
 //!
-//! Two guards keep the dense kernel honest, both **falling back to the
-//! approximate choice alone** (same guarantee, so the reported bound
-//! stays sound): a u64-lane overflow check on the total profit mass, and
-//! a fold-cost budget for capacities where the `O(S·C²)` convolution
-//! would dwarf the approximate knapsack. The `m ≥ 16n` regime dispatches
-//! to the Theorem-2 FPTAS exactly as Algorithm 3 does (Section 4.2.5).
+//! The fold costs `O(C log C)` per size class for capacity `C`, so it
+//! runs at every `m`. A u64-lane overflow check on the total profit mass
+//! **falls back to the approximate choice alone** (same guarantee, so the
+//! reported bound stays sound). The `m ≥ 16n` regime dispatches to the
+//! Theorem-2 FPTAS exactly as Algorithm 3 does (Section 4.2.5).
 
-use crate::convolve::{maxplus_blocked, size_class_profits};
+use crate::convolve::maxplus_staircase;
 use crate::dual::{approximate_view, DualAlgorithm};
 use crate::fptas_large_m::FptasLargeM;
 use crate::improved::ImprovedDual;
@@ -53,11 +52,6 @@ use moldable_core::ratio::Ratio;
 use moldable_core::types::{JobId, Procs, Time, Work};
 use moldable_core::view::JobView;
 use std::collections::BTreeMap;
-
-/// Fold-cost ceiling (u64 lane operations per probe). Beyond it the
-/// dense convolution loses to the approximate knapsack, so the probe
-/// delegates. 2^28 lanes ≈ tens of milliseconds on one core.
-const FOLD_OPS_BUDGET: u128 = 1 << 28;
 
 /// Profit ceiling: every (max,+) partial sum must fit a u64 lane with
 /// headroom. Total profit mass bounds every accumulator cell.
@@ -114,10 +108,10 @@ impl DualAlgorithm for ConvDual {
             crate::assemble::assemble(view, &d_prime, &chosen, TransformMode::Exact)
         };
         // The exact (max,+) choice, and Algorithm 3's approximate choice
-        // over the same rounded types (cheap next to the dense fold):
-        // assemble both and keep the better schedule, so a probe is never
-        // worse than Algorithm 3's at the same target. When a guard trips
-        // only the approximate path runs — exactly Algorithm 3.
+        // over the same rounded types: assemble both and keep the better
+        // schedule, so a probe is never worse than Algorithm 3's at the
+        // same target. When the overflow guard trips only the approximate
+        // path runs — exactly Algorithm 3.
         let exact = conv_knapsack_choose(&rounded, ctx.capacity).and_then(&assemble_choice);
         let approx =
             assemble_choice(ImprovedDual::new(self.eps).bounded_choice(&rounded, ctx.capacity));
@@ -134,8 +128,8 @@ impl DualAlgorithm for ConvDual {
 }
 
 /// Solve the rounded bounded knapsack exactly by (max,+)-convolution and
-/// return the chosen jobs, or `None` when a guard says the dense fold is
-/// the wrong tool (caller falls back to the approximate knapsack).
+/// return the chosen jobs, or `None` when the profit mass could overflow
+/// a u64 lane (caller falls back to the approximate knapsack).
 ///
 /// Deterministic: classes fold in ascending size order, units within a
 /// class rank by (profit desc, job id asc), and backtracking takes the
@@ -158,60 +152,47 @@ pub fn conv_knapsack_choose(rounded: &RoundedTypes, capacity: Procs) -> Option<V
     if total_profit >= PROFIT_LANE_LIMIT {
         return None; // u64 lanes could overflow — guard, delegate
     }
-    let mut est_ops: u128 = 0;
-    for (&size, units) in &by_size {
-        let g_len = (units.len() as u128 * size as u128 + 1).min(cap_cells as u128);
-        est_ops = est_ops.saturating_add(g_len * cap_cells as u128);
-    }
-    if est_ops > FOLD_OPS_BUDGET {
-        return None; // dense fold too expensive here — delegate
-    }
 
-    // Fold the per-size staircases, saving each pre-fold accumulator for
-    // backtracking. All operands are monotone, so every accumulator is
-    // monotone and the best profit sits in the last cell.
-    let classes: Vec<(Procs, Vec<(Work, JobId)>)> = by_size
+    // Fold each class's staircase (`prefix[q]` = its best `q` units),
+    // saving each pre-fold accumulator for backtracking. Every
+    // accumulator is non-decreasing, so the best profit sits in the last
+    // cell.
+    let classes: Vec<_> = by_size
         .into_iter()
         .map(|(s, mut units)| {
             units.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            (s, units)
+            let prefix: Vec<Work> = std::iter::once(0)
+                .chain(units.iter().scan(0, |sum, &(p, _)| {
+                    *sum += p;
+                    Some(*sum)
+                }))
+                .collect();
+            (s, units, prefix)
         })
         .collect();
     let mut acc: Vec<u64> = vec![0];
     let mut snaps: Vec<Vec<u64>> = Vec::with_capacity(classes.len());
-    let mut stairs: Vec<Vec<u64>> = Vec::with_capacity(classes.len());
-    for (size, units) in &classes {
-        let mut prefix: Vec<Work> = Vec::with_capacity(units.len() + 1);
-        prefix.push(0);
-        for (p, _) in units {
-            prefix.push(prefix.last().unwrap() + p);
-        }
-        let g = size_class_profits(*size, &prefix, cap_cells);
-        let folded = maxplus_blocked(&acc, &g, cap_cells);
+    for (size, _, prefix) in &classes {
+        let folded = maxplus_staircase(&acc, *size, prefix, cap_cells);
         snaps.push(std::mem::replace(&mut acc, folded));
-        stairs.push(g);
     }
 
-    // Backtrack from the last cell (monotone accumulators → the maximum).
+    // Backtrack from the last cell. Cell `c` splits as `c − j` in the
+    // previous accumulator plus `j` cells of this class's staircase, whose
+    // step `q = ⌊j/s⌋` holds `prefix[q]`. Within a step the lowest cell
+    // leaves the most accumulator, so the first witnessing split is the
+    // lowest feasible cell of the first witnessing step.
     let mut chosen: Vec<JobId> = Vec::new();
     let mut c = acc.len() - 1;
     let mut value = acc[c];
-    for i in (0..classes.len()).rev() {
-        let (size, units) = &classes[i];
-        let prev = &snaps[i];
-        let g = &stairs[i];
-        let j_hi = c.min(g.len() - 1);
+    for ((size, units, prefix), prev) in classes.iter().zip(&snaps).rev() {
+        let s = *size as usize;
         let j_lo = (c + 1).saturating_sub(prev.len());
-        let mut split = None;
-        for j in j_lo..=j_hi {
-            if prev[c - j] + g[j] == value {
-                split = Some(j);
-                break;
-            }
-        }
-        let j = split.expect("a (max,+) cell always has a witnessing split");
-        let k = ((j as u64 / size) as usize).min(units.len());
-        chosen.extend(units.iter().take(k).map(|&(_, id)| id));
+        let (q, j) = (j_lo / s..=(c / s).min(units.len()))
+            .map(|q| (q, (q * s).max(j_lo)))
+            .find(|&(q, j)| prev[c - j] + prefix[q] as u64 == value)
+            .expect("a (max,+) cell always has a witnessing split");
+        chosen.extend(units.iter().take(q).map(|&(_, id)| id));
         c -= j;
         value = prev[c];
     }
@@ -390,10 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn cost_guard_delegates() {
-        // capacity² alone exceeds the budget.
+    fn ties_take_the_smallest_split() {
+        // Job 0 (size 1) and job 1 (size 2) each earn 5, and only one
+        // fits in capacity 2. Backtracking takes the smallest witnessing
+        // split of the last class, so job 1's class contributes nothing.
+        let rounded = types(&[(1, 5, 1), (2, 5, 1)]);
+        assert_eq!(conv_knapsack_choose(&rounded, 2), Some(vec![0]));
+    }
+
+    #[test]
+    fn one_large_class_folds_exactly() {
+        // 2^20 unit-size jobs of profit 1 at capacity 2^20 − 1: the best
+        // choice is any 2^20 − 1 of them, the lowest ids first.
+        let cap = (1 << 20) - 1;
         let rounded = types(&[(1, 1, 1 << 20)]);
-        assert!(conv_knapsack_choose(&rounded, (1 << 20) - 1).is_none());
+        let chosen = conv_knapsack_choose(&rounded, cap).expect("no overflow");
+        assert_eq!(chosen, (0..cap as JobId).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Dense `(max,+)`-convolution kernels — the inner loop of the
+//! `(max,+)`-convolution by size class — the inner loop of the
 //! compression+convolution solver ([`crate::conv_fptas`], after
 //! Grage–Jansen–Ohnesorge, arXiv:2303.01414).
 //!
@@ -8,37 +8,35 @@
 //! out[k] = max { a[i] + b[j] : i + j = k },   0 ≤ k < la + lb − 1,
 //! ```
 //!
-//! optionally truncated to a capacity cap (the knapsack never asks about
-//! capacities beyond `m`). Two implementations share one contract:
+//! truncated to a capacity cap (the knapsack never asks about capacities
+//! beyond `m`). The solver only ever convolves a non-decreasing
+//! accumulator with one size class's profit staircase
+//! `g[c] = prefix[min(⌊c/s⌋, U)]` ([`size_class_profits`]), where
+//! `prefix` sums the class's `U` unit profits sorted non-increasing, so
+//! `prefix` is concave. Two functions share one contract:
 //!
-//! * [`maxplus_ref`] — the textbook output-major scalar loop. One pass
-//!   per output cell, reading `b` backwards; the loop-carried `max`
-//!   dependency and the reversed stream keep it scalar. This is the
-//!   readable reference the property tests pin the fast kernel against.
-//! * [`maxplus_blocked`] — the cache-blocked, auto-vectorization-friendly
-//!   kernel. The outer loop tiles `a` into [`BLOCK`]-element chunks
-//!   (8 KiB — a tile stays resident in L1d across the whole `b` sweep);
-//!   for each fixed `j` the inner loop is a forward
-//!   `out[k] = max(out[k], a[i] + bj)` stream over contiguous slices with
-//!   no carried dependency, which LLVM turns into packed u64 add +
-//!   compare/blend. Tiling cuts the `a`-traffic per output element by a
-//!   factor of [`BLOCK`] versus the output-major loop.
+//! * [`maxplus_ref`] — the textbook output-major loop over the dense
+//!   staircase, `O(la·lb)`: the test oracle.
+//! * [`maxplus_staircase`] — the kernel the solver runs. A split inside
+//!   one staircase step never beats the step's first cell (the
+//!   accumulator does not decrease), so `out[r + k·s]` is a `(max,+)`
+//!   product of the residue-`r` subsequence of the accumulator with the
+//!   concave `prefix`. Concavity makes the row argmax into the
+//!   accumulator non-decreasing in `k`, and a divide-and-conquer
+//!   row-maxima pass finds every row in `O(L log L)` for `L` rows —
+//!   `O(C log C)` per class for capacity `C`, whatever the unit count
+//!   (the bounded knapsack with few distinct sizes of Axiotis & Tzamos,
+//!   ICALP 2019, up to the logarithm).
 //!
-//! Both kernels are **exact** and byte-identical on every input (pinned
-//! by `tests/proptest_convolve.rs` including non-multiple-of-[`BLOCK`]
-//! tails); `benches/convolve.rs` gates the speedup in CI.
+//! The two are equal on every valid input, pinned by
+//! `tests/proptest_convolve.rs`.
 //!
 //! **Overflow contract.** Entries are plain `u64` lanes; callers must
 //! guarantee `a[i] + b[j]` cannot overflow (the solver checks total
-//! profit mass before choosing this path — see
-//! [`crate::conv_fptas`]). Debug builds assert it.
+//! profit mass before folding — see [`crate::conv_fptas`]). Debug builds
+//! assert it.
 
 use moldable_core::types::Work;
-
-/// `a`-tile size (elements) of the blocked kernel: 8 KiB of u64, small
-/// enough that a tile plus the streaming `out`/`b` lines stay in a
-/// typical 32 KiB L1d.
-pub const BLOCK: usize = 1024;
 
 /// Output length of a `(max,+)` convolution truncated at `cap` entries.
 #[inline]
@@ -74,48 +72,24 @@ pub fn maxplus_ref(a: &[u64], b: &[u64], cap: usize) -> Vec<u64> {
     out
 }
 
-/// Cache-blocked `(max,+)` convolution, truncated to `cap` entries.
-/// Byte-identical to [`maxplus_ref`] on every input; see the module docs
-/// for the blocking scheme.
-pub fn maxplus_blocked(a: &[u64], b: &[u64], cap: usize) -> Vec<u64> {
-    let out_len = maxplus_len(a.len(), b.len(), cap);
-    let mut out = vec![0u64; out_len];
-    if out_len == 0 {
-        return out;
-    }
-    for tile_start in (0..a.len()).step_by(BLOCK) {
-        let tile = &a[tile_start..(tile_start + BLOCK).min(a.len())];
-        for (j, &bj) in b.iter().enumerate() {
-            let k0 = tile_start + j;
-            if k0 >= out_len {
-                break; // later j only move further past the cap
-            }
-            let len = tile.len().min(out_len - k0);
-            // Contiguous forward streams with no carried dependency:
-            // LLVM auto-vectorizes the add + max.
-            for (dst, &ai) in out[k0..k0 + len].iter_mut().zip(&tile[..len]) {
-                let v = ai + bj;
-                if v > *dst {
-                    *dst = v;
-                }
-            }
-        }
-    }
-    out
+/// Length of the staircase of `units` units of `size` processors,
+/// truncated to `cap` cells: `min(units·size + 1, cap)`.
+fn staircase_len(size: u64, units: usize, cap: usize) -> usize {
+    let full = (units as u128 * size as u128).saturating_add(1);
+    full.min(cap as u128) as usize
 }
 
 /// Greedy per-size profit staircase: `out[c] = prefix[min(c / size, K)]`
 /// for `c ≤ cap − 1`, where `prefix[k]` is the best total profit of any
 /// `k` units (`prefix` must be a prefix-sum of unit profits sorted
 /// non-increasing — taking the top `k` units of one size is exact
-/// because equal-size units are interchangeable). The result is the
-/// dense operand the solver feeds to the kernel for one size class.
+/// because equal-size units are interchangeable). The dense operand of
+/// the [`maxplus_ref`] oracle for one size class.
 pub fn size_class_profits(size: u64, prefix: &[Work], cap: usize) -> Vec<u64> {
     debug_assert!(size >= 1, "size classes start at one processor");
     debug_assert!(!prefix.is_empty() && prefix[0] == 0, "prefix[0] must be 0");
     let units = prefix.len() - 1;
-    let full = (units as u128 * size as u128).saturating_add(1);
-    let len = (full.min(cap as u128)) as usize;
+    let len = staircase_len(size, units, cap);
     let mut out = Vec::with_capacity(len);
     for c in 0..len as u64 {
         let k = ((c / size) as usize).min(units);
@@ -126,41 +100,92 @@ pub fn size_class_profits(size: u64, prefix: &[Work], cap: usize) -> Vec<u64> {
     out
 }
 
+/// `(max,+)` fold of `acc` with the staircase of one size class:
+/// exactly `maxplus_ref(acc, &size_class_profits(size, prefix, cap), cap)`
+/// whenever `acc` is non-decreasing and `prefix` sums non-increasing unit
+/// profits (`prefix[0] == 0`). `O(L log L)` per residue class of `size`
+/// for `L ≈ cap / size` rows; see the module docs.
+///
+/// With `Ā[i] = acc[min(i, la − 1)]` (the lowest cell of each step,
+/// clamped to the end of `acc`),
+/// `out[c] = max_{0 ≤ q ≤ min(U, ⌊c/s⌋)} Ā[c − q·s] + prefix[q]`.
+pub fn maxplus_staircase(acc: &[u64], size: u64, prefix: &[Work], cap: usize) -> Vec<u64> {
+    debug_assert!(size >= 1, "size classes start at one processor");
+    debug_assert!(!prefix.is_empty() && prefix[0] == 0, "prefix[0] must be 0");
+    debug_assert!(
+        acc.windows(2).all(|w| w[0] <= w[1]),
+        "acc must not decrease"
+    );
+    let units = prefix.len() - 1;
+    let out_len = maxplus_len(acc.len(), staircase_len(size, units, cap), cap);
+    let mut out = vec![0u64; out_len];
+    let s = size as usize;
+    let last = acc.len().saturating_sub(1);
+    for r in 0..s.min(out_len) {
+        // Past `i_cap` the residue's accumulator cells are all clamped to
+        // `acc[last]`, and a smaller `i` leaves more units for the same
+        // accumulator value: no row's argmax lies beyond it.
+        let i_cap = last.saturating_sub(r).div_ceil(s);
+        let fold = ResidueFold {
+            acc,
+            prefix,
+            r,
+            s,
+            units,
+        };
+        fold.rows(&mut out, 0, (out_len - 1 - r) / s + 1, 0, i_cap);
+    }
+    out
+}
+
+/// One residue class `r` of [`maxplus_staircase`]: row `k` is output cell
+/// `r + k·s`, and column `i` pairs accumulator cell `r + i·s` with `k − i`
+/// units. Rows may use columns `max(0, k − U) ..= k`; both ends and the
+/// row argmax are non-decreasing in `k`.
+struct ResidueFold<'a> {
+    acc: &'a [u64],
+    prefix: &'a [Work],
+    r: usize,
+    s: usize,
+    units: usize,
+}
+
+impl ResidueFold<'_> {
+    /// Row maxima for rows `klo..khi`, each of which has an argmax in
+    /// columns `ilo..=ihi`: solve the middle row by a scan, then split the
+    /// columns at its argmax.
+    fn rows(&self, out: &mut [u64], klo: usize, khi: usize, ilo: usize, ihi: usize) {
+        if klo >= khi {
+            return;
+        }
+        let k = klo + (khi - klo) / 2;
+        let lo = ilo.max(k.saturating_sub(self.units));
+        let hi = ihi.min(k);
+        debug_assert!(lo <= hi, "row {k} has no admissible column");
+        let (mut arg, mut best) = (lo, self.cell(k, lo));
+        for i in lo + 1..=hi {
+            let v = self.cell(k, i);
+            if v > best {
+                (arg, best) = (i, v);
+            }
+        }
+        out[self.r + k * self.s] = best;
+        self.rows(out, klo, k, ilo, arg);
+        self.rows(out, k + 1, khi, arg, ihi);
+    }
+
+    #[inline]
+    fn cell(&self, k: usize, i: usize) -> u64 {
+        let a = self.acc[(self.r + i * self.s).min(self.acc.len() - 1)];
+        let p = self.prefix[k - i];
+        debug_assert!(u64::try_from(p).is_ok(), "profit exceeds the u64 lane");
+        a + p as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn xorshift(seed: &mut u64) -> u64 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        *seed
-    }
-
-    fn random_vec(seed: &mut u64, len: usize, max: u64) -> Vec<u64> {
-        (0..len).map(|_| xorshift(seed) % max).collect()
-    }
-
-    #[test]
-    fn matches_reference_across_block_tails() {
-        // Lengths straddling the tile boundary: 1, BLOCK−1, BLOCK,
-        // BLOCK+1, 2·BLOCK+17 — every tail shape the blocked loops see.
-        let mut seed = 0xC04Au64 ^ 0xC0417;
-        let lens = [1usize, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17];
-        for &la in &lens {
-            for &lb in &[1usize, 3, BLOCK, BLOCK + 5] {
-                let a = random_vec(&mut seed, la, 1 << 20);
-                let b = random_vec(&mut seed, lb, 1 << 20);
-                for cap in [usize::MAX, la + lb - 1, la, 1] {
-                    assert_eq!(
-                        maxplus_blocked(&a, &b, cap),
-                        maxplus_ref(&a, &b, cap),
-                        "la={la} lb={lb} cap={cap}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn known_small_convolution() {
@@ -168,28 +193,31 @@ mod tests {
         let a = [0, 5, 6];
         let b = [0, 3];
         assert_eq!(maxplus_ref(&a, &b, usize::MAX), vec![0, 5, 8, 9]);
-        assert_eq!(maxplus_blocked(&a, &b, usize::MAX), vec![0, 5, 8, 9]);
-        assert_eq!(maxplus_blocked(&a, &b, 2), vec![0, 5]);
+        assert_eq!(maxplus_ref(&a, &b, 2), vec![0, 5]);
     }
 
     #[test]
     fn empty_inputs_give_empty_output() {
         assert!(maxplus_ref(&[], &[1, 2], usize::MAX).is_empty());
-        assert!(maxplus_blocked(&[1, 2], &[], usize::MAX).is_empty());
-        assert!(maxplus_blocked(&[1], &[1], 0).is_empty());
+        assert!(maxplus_ref(&[1], &[1], 0).is_empty());
+        assert!(maxplus_staircase(&[], 2, &[0, 4], usize::MAX).is_empty());
+        assert!(maxplus_staircase(&[0, 1], 2, &[0, 4], 0).is_empty());
     }
 
     #[test]
-    fn monotone_inputs_give_monotone_output() {
-        let mut seed = 0x0Au64 ^ 0x40404;
-        for _ in 0..20 {
-            let mut a = random_vec(&mut seed, 200, 1000);
-            let mut b = random_vec(&mut seed, 57, 1000);
-            a.sort_unstable();
-            b.sort_unstable();
-            let out = maxplus_blocked(&a, &b, usize::MAX);
-            assert!(out.windows(2).all(|w| w[0] <= w[1]), "{out:?}");
-        }
+    fn known_small_staircase_fold() {
+        // acc [0,5,6] ⊕ two units of size 2 with profits 4 ≥ 3:
+        // staircase [0,0,4,4,7] (prefix [0,4,7]).
+        let acc = [0, 5, 6];
+        let prefix = [0, 4, 7];
+        assert_eq!(
+            maxplus_staircase(&acc, 2, &prefix, usize::MAX),
+            vec![0, 5, 6, 9, 10, 12, 13]
+        );
+        assert_eq!(maxplus_staircase(&acc, 2, &prefix, 4), vec![0, 5, 6, 9]);
+        // A size beyond the cap: only the empty step fits, and the last
+        // accumulator cell carries on to the cap.
+        assert_eq!(maxplus_staircase(&acc, 9, &prefix, 5), vec![0, 5, 6, 6, 6]);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 
 use crate::list_scheduling::greedy_schedule;
 use crate::schedule::Schedule;
-use moldable_core::bounds::upper_bound_seq_view;
+use moldable_core::bounds::parametric_lower_bound_view;
 use moldable_core::instance::Instance;
-use moldable_core::types::{JobId, Procs, Time, Work};
+use moldable_core::types::{JobId, Procs, Time};
 use moldable_core::view::JobView;
 
 /// Result of the estimator.
@@ -29,19 +29,6 @@ pub struct Estimate {
     pub allotment: Vec<Procs>,
 }
 
-/// `ω(a)` numerator pieces at threshold τ: the canonical allotment and its
-/// total work, or `None` if some job cannot meet τ even on `m` processors.
-fn profile_at(view: &JobView, tau: Time) -> Option<(Vec<Procs>, Work)> {
-    let mut allot = Vec::with_capacity(view.n());
-    let mut work: Work = 0;
-    for j in 0..view.n() as JobId {
-        let p = view.gamma_int(j, tau)?;
-        work += view.work(j, p);
-        allot.push(p);
-    }
-    Some((allot, work))
-}
-
 /// Compute the factor-2 estimate. Panics on empty instances.
 ///
 /// Convenience wrapper over [`estimate_view`]; callers doing more than one
@@ -51,43 +38,28 @@ pub fn estimate(inst: &Instance) -> Estimate {
     estimate_view(&JobView::build(inst))
 }
 
-/// [`estimate`] over a prebuilt [`JobView`]: each of the `O(log T)` probes
-/// costs `n` γ array lookups instead of `n` oracle binary searches.
+/// [`estimate`] over a prebuilt [`JobView`]. `ω` is the crossing of `f`,
+/// the least `τ` with `γ(τ)` defined and `⌈W(γ(τ))/m⌉ ≤ τ`: the test that
+/// [`parametric_lower_bound_view`] bisects on without allocating. The
+/// allotment is built once, at `ω`.
 pub fn estimate_view(view: &JobView) -> Estimate {
     assert!(view.n() > 0, "estimate of an empty instance");
-    let m = view.m() as Work;
-    // pred(τ): γ(τ) defined and ⌈W(γ(τ))/m⌉ ≤ τ — monotone in τ.
-    let pred = |tau: Time| -> bool {
-        match profile_at(view, tau) {
-            None => false,
-            Some((_, w)) => w.div_ceil(m) <= tau as Work,
-        }
+    let allot_at = |tau: Time| -> Option<Vec<Procs>> {
+        (0..view.n() as JobId)
+            .map(|j| view.gamma_int(j, tau))
+            .collect()
     };
-    let mut hi = upper_bound_seq_view(view).max(1);
-    debug_assert!(pred(hi));
-    let mut lo: Time = 0; // pred(0) false unless trivial; keep invariant loose
-    if pred(0) {
-        let (allotment, _) = profile_at(view, 0).unwrap();
+    // τ = 0 passes exactly when every job can run in no time (its work is
+    // then 0); the bisection starts above it.
+    if let Some(allotment) = allot_at(0) {
         return Estimate {
             omega: 0,
             allotment,
         };
     }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    // τ* = hi is the crossing: f(τ*) = τ* and f(τ) > τ* for τ < τ*
-    // (for τ < τ*: f(τ) ≥ ⌈W(γ(τ))/m⌉ ≥ τ+1 ≥ ... ≥ τ*), so ω = τ*.
-    let (allotment, _) = profile_at(view, hi).unwrap();
-    Estimate {
-        omega: hi,
-        allotment,
-    }
+    let omega = parametric_lower_bound_view(view);
+    let allotment = allot_at(omega).expect("γ is defined at ω");
+    Estimate { omega, allotment }
 }
 
 /// The 2-approximate schedule induced by the estimate: greedily schedule the

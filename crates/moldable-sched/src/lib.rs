@@ -20,7 +20,7 @@
 //!   (Section 4.3) and the fully linear variant (Section 4.3.3);
 //! * [`rounding`] — the Section 4.3.1 item-type rounding pass, shared by
 //!   every knapsack-based solver;
-//! * [`convolve`] / [`conv_fptas`] — the cache-blocked (max,+) kernel and
+//! * [`convolve`] / [`conv_fptas`] — the size-class (max,+) kernel and
 //!   the compression+convolution solver built on it
 //!   (Grage–Jansen–Ohnesorge, arXiv:2303.01414);
 //! * [`exact`] — exhaustive ground truth for tiny instances (Theorem 1's
@@ -75,7 +75,7 @@ pub use batch::{race, solve_many, BatchResult};
 pub use compressible_sched::CompressibleDual;
 pub use contiguous::ContiguousSolver;
 pub use conv_fptas::{ConvDual, ConvFptasSolver};
-pub use convolve::{maxplus_blocked, maxplus_ref, BLOCK};
+pub use convolve::{maxplus_ref, maxplus_staircase};
 pub use dual::{approximate, approximate_view, ApproxResult, DualAlgorithm};
 pub use estimator::{estimate, estimate_view, Estimate};
 pub use fairshare::Fairshare;

@@ -109,19 +109,6 @@ pub fn greedy_schedule(view: &JobView, allotment: &[Procs], order: &[JobId]) -> 
     schedule
 }
 
-/// Garey–Graham bound `W/m + max t` for a given allotment — what list
-/// scheduling is guaranteed not to exceed, any order.
-pub fn garey_graham_bound(view: &JobView, allotment: &[Procs]) -> Ratio {
-    let w: u128 = (0..view.n() as JobId)
-        .map(|j| view.work(j, allotment[j as usize]))
-        .sum();
-    let tmax = (0..view.n() as JobId)
-        .map(|j| view.time(j, allotment[j as usize]))
-        .max()
-        .unwrap_or(0);
-    Ratio::new(w, view.m() as u128).add(&Ratio::from(tmax))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

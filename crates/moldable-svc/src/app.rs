@@ -794,9 +794,16 @@ pub fn push_field(value: &mut Value, key: &str, field: Value) {
     }
 }
 
-/// Parse `"N/D"` into a ratio in `(0, 1]` — shared by the service's
-/// `"eps"` field and the CLI `--eps` flag so the two front ends accept
-/// exactly the same grammar.
+/// Largest reduced denominator [`parse_eps`] accepts, so `ε ≥ 1/1000`.
+/// Finer fractions overflow the solvers' exact rational arithmetic
+/// (a panic in the dual search at `1/10⁹`, and at `500000001/10⁹`) or
+/// hold a worker for minutes.
+const MAX_EPS_DEN: u128 = 1000;
+
+/// Parse `"N/D"` into a ratio in `(0, 1]` whose reduced denominator is at
+/// most 1000 — shared by the service's `"eps"` field, the CLI `--eps` flag
+/// and `moldable-svc --eps`, so every front end accepts exactly the same
+/// grammar.
 pub fn parse_eps(raw: &str) -> Result<Ratio, String> {
     let (num, den) = raw
         .split_once('/')
@@ -806,7 +813,13 @@ pub fn parse_eps(raw: &str) -> Result<Ratio, String> {
     if num == 0 || den == 0 || Ratio::new(num, den) > Ratio::one() {
         return Err("need 0 < eps <= 1".to_string());
     }
-    Ok(Ratio::new(num, den))
+    let eps = Ratio::new(num, den);
+    if eps.den() > MAX_EPS_DEN {
+        return Err(format!(
+            "eps `{raw}` is too fine: its reduced denominator must be at most {MAX_EPS_DEN}"
+        ));
+    }
+    Ok(eps)
 }
 
 /// Assignment rows in the `solve` JSON shape — the **single** serializer
@@ -1068,6 +1081,22 @@ mod tests {
                 &format!(r#"{{"instance": {INSTANCE}, "eps": "3/2"}}"#),
                 "eps",
             ),
+            (
+                &format!(r#"{{"instance": {INSTANCE}, "eps": "1/1000000000"}}"#),
+                "eps `1/1000000000` is too fine",
+            ),
+            (
+                &format!(r#"{{"instance": {INSTANCE}, "eps": "500000001/1000000000"}}"#),
+                "eps `500000001/1000000000` is too fine",
+            ),
+            (
+                &format!(r#"{{"instance": {INSTANCE}, "eps": "1/1001"}}"#),
+                "eps `1/1001` is too fine",
+            ),
+            (
+                r#"{"instance": {"m": 3, "jobs": [{"table": [10, 12, 5]}]}}"#,
+                "table time rises from p = 1 to p = 2",
+            ),
             (&format!(r#"{{"instance": {INSTANCE}, "algo": 7}}"#), "algo"),
             (
                 &format!(r#"{{"instance": {INSTANCE}, "placements": "yes"}}"#),
@@ -1081,6 +1110,23 @@ mod tests {
                 "body {body} -> {}",
                 body_text(&resp)
             );
+            assert_eq!(
+                json_of(&resp)["error"]["kind"].as_str(),
+                Some("bad-request"),
+                "body {body}"
+            );
+        }
+    }
+
+    #[test]
+    fn eps_down_to_one_thousandth_is_served() {
+        let app = app();
+        for eps in ["1/1000", "2/2000", "999/1000", "1/4"] {
+            let resp = app.respond(&post(
+                "/v1/solve",
+                &format!(r#"{{"instance": {INSTANCE}, "algo": "linear", "eps": "{eps}"}}"#),
+            ));
+            assert_eq!(resp.status, 200, "eps {eps}: {}", body_text(&resp));
         }
     }
 

@@ -67,7 +67,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  moldable solve    --input FILE [--algo mrt|alg1|alg3|linear|contiguous-73-50|fptas|ptas|two-approx|sequential|exact] [--eps N/D] [--place] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
+  moldable solve    --input FILE [--algo mrt|alg1|alg3|linear|contiguous-73-50|conv-fptas|fptas|ptas|two-approx|sequential|exact] [--eps N/D] [--place] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable race     --input FILE [--eps N/D] [--place] [--check] [--threads N] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable estimate --input FILE
   moldable generate --family power-law|amdahl|comm-overhead|mixed --n N --m M [--seed S]
@@ -78,6 +78,7 @@ const USAGE: &str = "usage:
   moldable simulate --model lublin --n N [--m M] [--seed S] [--gap SECONDS] [--users U] [--user-skew S] [--fit amdahl|downey] [STREAM]
   moldable render   --input FILE --schedule FILE --out FILE.svg [--width W] [--height H]
 
+eps N/D is a fraction in (0, 1] whose reduced denominator is at most 1000.
 STREAM is [--max-batch B] [--eps N/D] [--algo NAME] [--topology SPEC]
 [--policy P] [--fairshare on|off] [--half-life TICKS] [--report-users N];
 --max-batch defaults to 8192, and 0 plans the whole queue at every

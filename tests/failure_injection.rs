@@ -10,7 +10,7 @@
 //!   in Section 4.2 — demonstrably loses more schedule work than the
 //!   compressible-knapsack approach tolerates.
 
-use moldable::core::io::{CurveSpec, InstanceSpec};
+use moldable::core::io::{CurveSpec, InstanceSpec, SpecError};
 use moldable::core::monotone::{verify_monotone, MonotoneViolation};
 use moldable::prelude::*;
 use moldable::sim::{execute, SimError};
@@ -108,6 +108,51 @@ fn instance_spec_rejects_corrupt_curves() {
         jobs: vec![CurveSpec::Table(vec![])],
     };
     assert!(spec.build().is_err());
+}
+
+#[test]
+fn instance_spec_rejects_non_monotone_tables() {
+    // Time rises from p = 1 to p = 2: the view would keep t(2) = 10
+    // while the curve says 12.
+    let spec = InstanceSpec {
+        m: 3,
+        jobs: vec![CurveSpec::Table(vec![10, 12, 5])],
+    };
+    let err = spec.build().unwrap_err();
+    assert_eq!(
+        err,
+        SpecError::NonMonotoneTable(MonotoneViolation::TimeIncreased { p: 1 })
+    );
+    assert!(err.to_string().contains("p = 1"), "{err}");
+
+    // Work drops from p = 2 to p = 3: 2·6 = 12 > 3·3 = 9. The first bad
+    // entry is named, past an equal-time entry that is fine.
+    let spec = InstanceSpec {
+        m: 4,
+        jobs: vec![
+            CurveSpec::Table(vec![8, 8, 7]),
+            CurveSpec::Table(vec![9, 6, 3, 3]),
+        ],
+    };
+    assert_eq!(
+        spec.build().unwrap_err(),
+        SpecError::NonMonotoneTable(MonotoneViolation::WorkDecreased { p: 2 })
+    );
+
+    // The same rules hold on the JSON path: the time-rising table comes
+    // first, and a work-dropping table alone is refused too.
+    let json = r#"{"m":2,"jobs":[{"table":[5,7]},{"table":[4,9]},{"table":[6,2]}]}"#;
+    let spec: InstanceSpec = serde_json::from_str(json).unwrap();
+    assert_eq!(
+        spec.build().unwrap_err(),
+        SpecError::NonMonotoneTable(MonotoneViolation::TimeIncreased { p: 1 })
+    );
+    let spec: InstanceSpec =
+        serde_json::from_str(r#"{"m":2,"jobs":[{"table":[6,2]}]}"#).unwrap();
+    assert_eq!(
+        spec.build().unwrap_err(),
+        SpecError::NonMonotoneTable(MonotoneViolation::WorkDecreased { p: 1 })
+    );
 }
 
 #[test]

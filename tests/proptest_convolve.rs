@@ -1,19 +1,16 @@
-//! Property-based tests of the (max,+) convolution kernels: the
-//! cache-blocked kernel must be byte-identical to the scalar reference on
-//! arbitrary lengths and caps — including tails that are not a multiple
-//! of the block size — and must preserve monotonicity of its inputs.
+//! Property-based tests of the size-class (max,+) kernel: folding a
+//! non-decreasing accumulator with one size class's profit staircase must
+//! equal the dense reference convolution on arbitrary lengths, sizes and
+//! caps — including caps that cut a step short or fall inside the
+//! accumulator — and must preserve the monotonicity the solver's
+//! backtracking relies on.
 
-use moldable::sched::convolve::{maxplus_blocked, maxplus_ref, BLOCK};
+use moldable::core::types::Work;
+use moldable::sched::convolve::{maxplus_ref, maxplus_staircase, size_class_profits};
 use proptest::prelude::*;
 
-fn lane() -> impl Strategy<Value = Vec<u64>> {
-    // Lengths straddle the block boundary so tile tails get exercised
-    // alongside the tiny cases the unit tests already pin.
-    prop::collection::vec(0u64..1_000_000, 0..(2 * BLOCK + 64))
-}
-
 fn monotone_lane() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..10_000, 0..(BLOCK + 48)).prop_map(|deltas| {
+    prop::collection::vec(0u64..10_000, 0..300).prop_map(|deltas| {
         deltas
             .into_iter()
             .scan(0u64, |acc, d| {
@@ -24,46 +21,96 @@ fn monotone_lane() -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
+/// Prefix sums of unit profits sorted non-increasing: `prefix[q]` is the
+/// best profit of `q` units of one size.
+fn prefix() -> impl Strategy<Value = Vec<Work>> {
+    prop::collection::vec(0u64..1000, 0..60).prop_map(|mut units| {
+        units.sort_unstable_by(|a, b| b.cmp(a));
+        std::iter::once(0)
+            .chain(units.iter().scan(0, |sum, &p| {
+                *sum += p as Work;
+                Some(*sum)
+            }))
+            .collect()
+    })
+}
+
+/// The oracle: the dense staircase through the reference convolution.
+fn reference(acc: &[u64], size: u64, prefix: &[Work], cap: usize) -> Vec<u64> {
+    maxplus_ref(acc, &size_class_profits(size, prefix, cap), cap)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The blocked kernel is a pure optimization: identical output to the
-    /// scalar reference for every length/cap combination.
+    /// The kernel is exact: identical output to the reference for every
+    /// length, size and cap, capped or not.
     #[test]
-    fn blocked_matches_reference(a in lane(), b in lane(), cap in 0usize..(4 * BLOCK)) {
-        prop_assert_eq!(maxplus_blocked(&a, &b, cap), maxplus_ref(&a, &b, cap));
-    }
-
-    /// Block-tail alignment: force `a` to end mid-tile with an exact
-    /// offset from the block boundary, where a wrong tile bound would
-    /// drop or duplicate lanes.
-    #[test]
-    fn blocked_matches_reference_at_block_tails(
-        tail in 1usize..64,
-        b in lane(),
-        seed in 0u64..1_000_000,
+    fn staircase_matches_reference(
+        acc in monotone_lane(),
+        prefix in prefix(),
+        size in 1u64..48,
+        cap in 0usize..4000,
     ) {
-        let len = BLOCK + tail;
-        let a: Vec<u64> = (0..len as u64).map(|i| (i * 2654435761 + seed) % 999_983).collect();
-        let cap = len + b.len();
-        prop_assert_eq!(maxplus_blocked(&a, &b, cap), maxplus_ref(&a, &b, cap));
+        prop_assert_eq!(maxplus_staircase(&acc, size, &prefix, cap), reference(&acc, size, &prefix, cap));
+        prop_assert_eq!(
+            maxplus_staircase(&acc, size, &prefix, usize::MAX),
+            reference(&acc, size, &prefix, usize::MAX)
+        );
     }
 
-    /// (max,+) convolution of monotone non-decreasing lanes is monotone
-    /// non-decreasing — the staircase structure the solver relies on when
-    /// backtracking through fold snapshots.
+    /// Caps that end inside a staircase step, where the last step is
+    /// truncated, and caps shorter than the accumulator itself.
     #[test]
-    fn monotone_inputs_give_monotone_output(a in monotone_lane(), b in monotone_lane()) {
-        let out = maxplus_blocked(&a, &b, a.len() + b.len());
+    fn staircase_matches_reference_at_truncated_steps(
+        acc in monotone_lane(),
+        prefix in prefix(),
+        size in 2u64..48,
+        step in 0usize..60,
+        into in 1u64..48,
+    ) {
+        let units = prefix.len() - 1;
+        let q = step.min(units);
+        let mid_step = acc.len() + q * size as usize + (into % size) as usize;
+        for cap in [mid_step, acc.len() / 2, acc.len().saturating_sub(1), 1] {
+            prop_assert_eq!(
+                maxplus_staircase(&acc, size, &prefix, cap),
+                reference(&acc, size, &prefix, cap),
+                "cap {}", cap
+            );
+        }
+    }
+
+    /// Folding a non-decreasing accumulator with a staircase gives a
+    /// non-decreasing accumulator — the structure the solver relies on
+    /// when it reads the best profit from the last cell.
+    #[test]
+    fn monotone_inputs_give_monotone_output(acc in monotone_lane(), prefix in prefix(), size in 1u64..48) {
+        let out = maxplus_staircase(&acc, size, &prefix, usize::MAX);
         prop_assert!(out.windows(2).all(|w| w[0] <= w[1]), "non-monotone: {out:?}");
     }
 
     /// Truncation by `cap` is a pure prefix: the capped result equals the
     /// leading `cap` entries of the uncapped one.
     #[test]
-    fn cap_is_a_prefix(a in lane(), b in lane(), cap in 0usize..(2 * BLOCK)) {
-        let full = maxplus_blocked(&a, &b, usize::MAX);
-        let capped = maxplus_blocked(&a, &b, cap);
+    fn cap_is_a_prefix(acc in monotone_lane(), prefix in prefix(), size in 1u64..48, cap in 0usize..3000) {
+        let full = maxplus_staircase(&acc, size, &prefix, usize::MAX);
+        let capped = maxplus_staircase(&acc, size, &prefix, cap);
+        prop_assert_eq!(capped.len(), full.len().min(cap));
         prop_assert_eq!(&capped[..], &full[..capped.len()]);
+    }
+
+    /// (max,+) convolution commutes, so folding two classes in either
+    /// order gives the same accumulator.
+    #[test]
+    fn class_order_does_not_matter(
+        a in prefix(),
+        b in prefix(),
+        sizes in (1u64..24, 1u64..24),
+        cap in 1usize..800,
+    ) {
+        let ab = maxplus_staircase(&maxplus_staircase(&[0], sizes.0, &a, cap), sizes.1, &b, cap);
+        let ba = maxplus_staircase(&maxplus_staircase(&[0], sizes.1, &b, cap), sizes.0, &a, cap);
+        prop_assert_eq!(ab, ba);
     }
 }
