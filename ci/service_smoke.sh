@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end service smoke for CI (also runnable locally):
-#   1. start `moldable-svc` in the background on two listener shards
-#      with ephemeral ports,
+#   1. start `moldable-svc` in the background on one ephemeral port with
+#      two workers,
 #   2. hit /healthz,
 #   3. POST a generated instance to /v1/solve and assert the answer
 #      equals CLI `solve` on the same instance as a whole body — once in
@@ -11,16 +11,18 @@
 #      hierarchy; every job must stay inside one node) — and that
 #      /v1/race equals CLI `race --place`,
 #   4. cache consistency: POST the same body twice and assert the
-#      responses are byte-identical and /metrics counted a cache hit,
+#      responses are byte-identical and /metrics counted a memo hit,
 #   5. wire-format v4 admission: an over-quota tenant-tagged solve gets
 #      a typed 429 naming the violated rule, the same request under a
 #      generous cap answers 200 with bytes identical to the untagged
 #      reply modulo the schema bump + tenant echo, and /metrics carries
-#      the per-tenant admit/deny counters,
-#   6. run a short closed-loop `moldable-loadgen` burst against both
-#      shards on a repeated-instance (cache-hit) workload and assert
-#      zero errors and sustained throughput,
-#   7. read the fleet-merged /metrics back.
+#      the per-tenant admit/deny counters; a tenant-tagged body POSTed
+#      twice answers identical bytes and is admitted both times (the
+#      memo never answers a tagged body),
+#   6. run a short closed-loop `moldable-loadgen` burst on a
+#      repeated-instance (memo-hit) workload and assert zero errors and
+#      sustained throughput,
+#   7. read /metrics back.
 #
 # Usage: ci/service_smoke.sh [BURST_SECONDS] [MIN_RPS]
 # Expects release binaries in target/release (cargo build --release first).
@@ -33,19 +35,18 @@ BIN=target/release
 
 $BIN/moldable generate --family mixed --n 12 --m 256 --seed 21 > /tmp/svc_inst.json
 
-$BIN/moldable-svc --addr 127.0.0.1:0 --workers 2 --shards 2 > /tmp/svc_addr.json 2>/tmp/svc_err.log &
+$BIN/moldable-svc --addr 127.0.0.1:0 --workers 2 > /tmp/svc_addr.json 2>/tmp/svc_err.log &
 SVC_PID=$!
 trap 'kill "$SVC_PID" 2>/dev/null || true' EXIT
 
-# The first stdout line is {"listening": "HOST:PORT", "shards": [...], ...}.
+# The first stdout line is {"listening": "HOST:PORT", "workers": N}.
 for _ in $(seq 1 100); do
     [ -s /tmp/svc_addr.json ] && break
     sleep 0.1
 done
 [ -s /tmp/svc_addr.json ] || { echo "service never came up"; cat /tmp/svc_err.log; exit 1; }
 ADDR=$(python3 -c "import json; print(json.load(open('/tmp/svc_addr.json'))['listening'])")
-SHARDS=$(python3 -c "import json; print(','.join(json.load(open('/tmp/svc_addr.json'))['shards']))")
-echo "service listening on $ADDR (shards: $SHARDS)"
+echo "service listening on $ADDR"
 
 curl -fsS "http://$ADDR/healthz"
 echo
@@ -93,7 +94,7 @@ print(f"race parity ok: whole body equal, {len(svc['results'])} solver rows")
 EOF
 
 # Cache consistency: the same body served twice must be byte-identical,
-# and /metrics must show the repeat was answered from the cache.
+# and /metrics must show the repeat was answered from the memo.
 python3 - "$ADDR" <<'EOF'
 import json, urllib.request
 addr = __import__("sys").argv[1]
@@ -110,10 +111,8 @@ assert first == second, "repeated body produced different response bytes"
 with urllib.request.urlopen(f"http://{addr}/metrics") as resp:
     cache = json.load(resp)["cache"]
 assert cache["enabled"], "response cache is disabled in the smoke"
-hits = cache["hits"] + cache["body_hits"]
-assert hits >= 1, f"no cache hit after a repeated body: {cache}"
-print(f"cache consistency ok: identical bytes, {hits} cache hit(s) "
-      f"({cache['body_hits']} exact-body, {cache['hits']} canonical)")
+assert cache["body_hits"] >= 1, f"no memo hit after a repeated body: {cache}"
+print(f"cache consistency ok: identical bytes, {cache['body_hits']} memo hit(s)")
 EOF
 
 # Wire-format v4 admission: a tenant-tagged request carrying a quota set
@@ -159,13 +158,40 @@ assert row["admitted"] >= 1 and row["denied"] >= 1, tenants
 print(f"admission ok: typed 429 then identical 200; per-tenant counters {row}")
 EOF
 
+# Tenant-tagged repeats: the memo never answers a tagged body, so the
+# same tagged body POSTed twice answers identical bytes and is admitted
+# both times.
+python3 - "$ADDR" <<'EOF'
+import json, urllib.request
+addr = __import__("sys").argv[1]
+inst = json.load(open("/tmp/svc_inst.json"))
+body = json.dumps({"instance": inst, "algo": "linear", "eps": "1/4",
+                   "tenant": {"user": "repeat"}}).encode()
+
+def post():
+    req = urllib.request.Request(f"http://{addr}/v1/solve", data=body, method="POST")
+    with urllib.request.urlopen(req) as resp:
+        return resp.read()
+
+def admitted():
+    with urllib.request.urlopen(f"http://{addr}/metrics") as resp:
+        row = json.load(resp)["tenants"].get("repeat/default/default", {})
+    return row.get("admitted", 0)
+
+before = admitted()
+first, second = post(), post()
+assert first == second, "a repeated tagged body produced different bytes"
+grown = admitted() - before
+assert grown == 2, f"admitted grew by {grown}, not 2: the memo answered a tagged body"
+print("tenant repeats ok: identical bytes, admitted twice")
+EOF
+
 # Repeated-instance burst (--count 1): after the first request every body
-# is a byte-identical repeat, so this measures the cache-hit serving path
-# across both listener shards.
-$BIN/moldable-loadgen --addr "$SHARDS" --threads 2 --seconds "$BURST_SECONDS" \
+# is a byte-identical repeat, so this measures the memo-hit serving path.
+$BIN/moldable-loadgen --addr "$ADDR" --threads 2 --seconds "$BURST_SECONDS" \
     --family mixed --n 16 --m 256 --count 1 > /tmp/loadgen_report.json
 python3 ci/loadgen_assert.py /tmp/loadgen_report.json --min-rps "$MIN_RPS"
 
-echo "fleet-merged service metrics after the burst:"
+echo "service metrics after the burst:"
 curl -fsS "http://$ADDR/metrics"
 echo

@@ -3,8 +3,8 @@
 //! serialize, plus the full [`App::respond`] router — everything
 //! `POST /v1/solve` does except the socket I/O. The `respond` row runs
 //! with the response cache disabled (the full compute path);
-//! `respond-hit` is the same request against a warm canonical-instance
-//! cache, so the pair pins both sides of the hit/miss split.
+//! `respond-hit` is the same request against a warm exact-bytes memo,
+//! so the pair pins both sides of the hit/miss split.
 //!
 //! These are the request-latency benches the CI perf-regression gate
 //! tracks (`ci/bench_gate.py` against `benches/baseline.json`): the
@@ -44,7 +44,7 @@ fn bench_service(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     // `respond` measures the full compute path; the cached app serves
-    // `respond-hit` from the canonical-instance cache.
+    // `respond-hit` from the exact-bytes memo.
     let app = App::new(AppConfig {
         cache_entries: 0,
         ..AppConfig::default()
@@ -129,8 +129,8 @@ fn bench_service(c: &mut Criterion) {
             })
         });
 
-        // End to end, cache hit: same request against a warm canonical-
-        // instance cache — parse + key + serve the memoized bytes.
+        // End to end, cache hit: the byte-identical request against a
+        // warm memo — hash the body + serve the memoized bytes, no parse.
         let warm = cached_app.respond(&request);
         assert_eq!(warm.status, 200);
         group.bench_with_input(

@@ -1,22 +1,17 @@
-//! A stable, dependency-free 128-bit hash for cache keys.
+//! A stable, dependency-free 128-bit hash: the hasher behind
+//! [`Instance::canonical_hash`](crate::instance::Instance::canonical_hash).
 //!
-//! The service's canonical-instance cache (PR 8) keys complete serialized
-//! responses on the *semantics* of a request — the normalized
-//! [`JobView`](crate::view::JobView) staircases plus the solver name and
-//! accuracy. `std::hash` deliberately refuses stability guarantees (and
-//! `DefaultHasher` is randomly seeded per process), so cache keys go
-//! through this explicit hasher instead: **FNV-1a over 128 bits**, a
-//! fixed published algorithm whose output is identical across runs,
-//! platforms, and compiler versions. That stability is what makes cache
-//! behavior testable (the same body must hit) and lets sharded servers
-//! share one cache.
+//! `std::hash` deliberately refuses stability guarantees (and
+//! `DefaultHasher` is randomly seeded per process), so a digest meant to
+//! mean the same thing in every process goes through this explicit
+//! hasher instead: **FNV-1a over 128 bits**, a fixed published algorithm
+//! whose output is identical across runs, platforms, and compiler
+//! versions.
 //!
-//! Collisions: the cache maps a 128-bit key to a response, so a collision
-//! would serve a wrong (but well-formed) response. At 2^128 the birthday
-//! bound puts any realistic corpus (even 2^40 distinct instances) below
-//! 2^-47 collision probability — the same trust placed in content-hash
-//! stores. Keys are *not* adversary-proof (FNV is not cryptographic);
-//! the threat model is a cache, not an authenticator.
+//! Collisions: at 2^128 the birthday bound puts any realistic corpus
+//! (even 2^40 distinct instances) below 2^-47 collision probability —
+//! the same trust placed in content-hash stores. Digests are *not*
+//! adversary-proof (FNV is not cryptographic).
 
 /// FNV-1a offset basis for the 128-bit variant.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;

@@ -24,7 +24,6 @@
 
 use std::fmt;
 
-use crate::hash::StableHasher;
 use crate::placement::Placement;
 use crate::procset::ProcSet;
 
@@ -53,8 +52,7 @@ pub struct Level {
 ///
 /// The per-level lookup index is a function of the validated levels
 /// (their range starts are distinct, so its sort order is fixed), so
-/// derived equality is structural; [`Topology::hash_into`] reads only
-/// `m` and the levels.
+/// derived equality is structural.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     m: u64,
@@ -430,27 +428,6 @@ impl Topology {
         self.index[index].split(procs, f)
     }
 
-    /// Feed the tree's full structure — `m`, level names, every block's
-    /// ranges — into a [`StableHasher`], so two topologies hash equal
-    /// exactly when they are structurally equal (a `"2*2"` spec and its
-    /// explicit block-list spelling collide on purpose). Used by the
-    /// service's canonical cache key.
-    pub fn hash_into(&self, h: &mut StableHasher) {
-        h.write_u64(self.m);
-        h.write_u64(self.levels.len() as u64);
-        for level in &self.levels {
-            h.write_str(&level.name);
-            h.write_u64(level.blocks.len() as u64);
-            for block in &level.blocks {
-                h.write_u64(block.ranges().len() as u64);
-                for &(lo, hi) in block.ranges() {
-                    h.write_u64(lo);
-                    h.write_u64(hi);
-                }
-            }
-        }
-    }
-
     /// Per-placement fragmentation metrics at every level.
     pub fn fragmentation(&self, placement: &Placement) -> FragmentationReport {
         let mut scratch = Vec::new();
@@ -560,6 +537,11 @@ mod tests {
         let t = Topology::parse("0-2|3-7").unwrap();
         assert_eq!(t.m(), 8);
         assert_eq!(t.levels()[0].blocks[1], ProcSet::range(3, 7));
+        // An arity spec equals its block-list spelling, and nothing else.
+        let spec = Topology::parse("2*2").unwrap();
+        assert_eq!(spec, Topology::parse("0-1|2-3;0|1|2|3").unwrap());
+        assert_ne!(spec, Topology::parse("4*1").unwrap());
+        assert_ne!(spec, Topology::flat(4));
     }
 
     #[test]
@@ -760,21 +742,6 @@ mod tests {
         assert!((node.mean_span() - 1.5).abs() < 1e-12);
         let empty = t.fragmentation(&Placement::new());
         assert_eq!(empty.levels[0].mean_span(), 0.0);
-    }
-
-    #[test]
-    fn hash_into_is_structural() {
-        let digest = |t: &Topology| {
-            let mut h = StableHasher::new();
-            t.hash_into(&mut h);
-            h.finish()
-        };
-        let spec = Topology::parse("2*2").unwrap();
-        let explicit = Topology::parse("0-1|2-3;0|1|2|3").unwrap();
-        assert_eq!(spec, explicit);
-        assert_eq!(digest(&spec), digest(&explicit));
-        assert_ne!(digest(&spec), digest(&Topology::parse("4*1").unwrap()));
-        assert_ne!(digest(&spec), digest(&Topology::flat(4)));
     }
 
     #[test]

@@ -79,14 +79,19 @@ impl Instance {
 
     /// A stable 128-bit digest of the instance's *semantics on `[1, m]`*:
     /// equal digests guarantee `t_j(p)` agrees for every job and every
-    /// `p ≤ m` — the soundness bar for keying a response cache, since
-    /// handlers evaluate `inst.time` at arbitrary allotments.
+    /// `p ≤ m`, the bar any cache keyed on it must meet, since solvers
+    /// evaluate `inst.time` at arbitrary allotments.
+    ///
+    /// The service no longer keys a cache on it (its one response cache
+    /// keys exact request bytes); the benchmark's traced `svc-cold`
+    /// replay (`perfbench/`) still times it as the `core.canonical_hash`
+    /// stage.
     ///
     /// Each curve is normalized exactly as far as faithfulness allows:
     /// constants, staircases, and *non-increasing* tables all reduce to
     /// the same canonical staircase (strictly-decreasing breakpoints,
     /// truncated at `m`), so `{"table": [9,5,5]}` and
-    /// `{"staircase": [[1,9],[2,5]]}` share one cache entry. A
+    /// `{"staircase": [[1,9],[2,5]]}` hash equal. A
     /// non-monotone table is **not** front-reducible (its between-
     /// breakpoint times differ from the front's), so it hashes raw —
     /// truncated at `m` and stripped of trailing repeats, which is the
@@ -94,7 +99,7 @@ impl Instance {
     /// (`affine_decreasing`, `ideal_with_overhead`) hash by parameters
     /// with `cap`/extent clamped to `m`. Returns `None` for
     /// [`SpeedupCurve::Custom`] oracles: arbitrary code has no finite
-    /// canonical form, so such instances are uncacheable.
+    /// canonical form.
     pub fn canonical_hash(&self) -> Option<u128> {
         let mut h = StableHasher::new();
         h.write_u64(self.m);

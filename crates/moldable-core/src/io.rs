@@ -65,6 +65,8 @@ pub enum SpecError {
     ZeroTime,
     /// A machine count of zero.
     ZeroMachines,
+    /// An instance without jobs.
+    NoJobs,
 }
 
 impl std::fmt::Display for SpecError {
@@ -80,6 +82,7 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::ZeroTime => write!(f, "processing times must be positive"),
             SpecError::ZeroMachines => write!(f, "machine count must be positive"),
+            SpecError::NoJobs => write!(f, "instance must have at least one job"),
         }
     }
 }
@@ -168,10 +171,14 @@ pub struct InstanceSpec {
 }
 
 impl InstanceSpec {
-    /// Validate and build the instance.
+    /// Validate and build the instance. An instance needs a machine and
+    /// a job: the solvers assume both.
     pub fn build(&self) -> Result<Instance, SpecError> {
         if self.m == 0 {
             return Err(SpecError::ZeroMachines);
+        }
+        if self.jobs.is_empty() {
+            return Err(SpecError::NoJobs);
         }
         let curves = self
             .jobs

@@ -9,12 +9,12 @@
 //! responses are pure functions of the request body — the property the
 //! CI parity gate and the concurrent-client test both lean on.
 //!
-//! `POST /v1/solve` and `POST /v1/race` share one staged pipeline:
-//! parse → resolve the solver → admit → cache probe → [`solve_reply`] /
-//! [`race_reply`]. The CLI `solve` and `race` commands run the same
-//! public stages in the same order, so both front ends print one body,
-//! and every failure leaves the stage that raised it as a typed
-//! [`Failure`].
+//! `POST /v1/solve` and `POST /v1/race` share one staged pipeline: a
+//! tenant-free body first probes the exact-bytes memo, then a miss runs
+//! parse → resolve the solver → admit → [`solve_reply`] / [`race_reply`].
+//! The CLI `solve` and `race` commands run the same public stages in the
+//! same order, so both front ends print one body, and every failure
+//! leaves the stage that raised it as a typed [`Failure`].
 //!
 //! | Endpoint | Body | Reply |
 //! |---|---|---|
@@ -29,7 +29,6 @@ use crate::cache::ResponseCache;
 use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, ServiceMetrics};
 use crate::wire::{parse_solve_body, ErrorKind, Failure, SolveRequest};
-use moldable_core::hash::StableHasher;
 use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
 use moldable_core::placement::Placement;
@@ -55,11 +54,8 @@ pub struct AppConfig {
     pub max_body: usize,
     /// Worker threads handed to the batch engine for `/v1/race`.
     pub race_threads: usize,
-    /// Canonical-instance cache capacity in entries (0 disables caching).
+    /// Response-cache capacity in entries (0 disables caching).
     pub cache_entries: usize,
-    /// Lock shards inside the response cache (rounded up to a power of
-    /// two; irrelevant when the cache is disabled).
-    pub cache_shards: usize,
     /// Operator-configured admission quotas (`--quotas FILE` on the
     /// binary). `None` admits everything; tenant-tagged requests are
     /// still accounted and may carry their own in-request rule sets.
@@ -73,36 +69,29 @@ impl Default for AppConfig {
             max_body: 8 * 1024 * 1024,
             race_threads: 1,
             cache_entries: 4096,
-            cache_shards: 8,
             quotas: None,
         }
     }
 }
 
-/// Shared application state: config, metrics, and the canonical-instance
-/// response cache. One per listener shard; safe to share across worker
-/// threads (`&self` handlers only). Shards built through
-/// [`App::shard_group`] share one cache and see each other's metrics, so
-/// `GET /metrics` on any port reports the whole fleet.
+/// Lock shards inside the response cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Shared application state: config, metrics, the response cache and
+/// admission control. One per server; safe to share across worker
+/// threads (`&self` handlers only).
 pub struct App {
     config: AppConfig,
-    metrics: Arc<ServiceMetrics>,
-    /// Every shard's metrics (including this one's), merged by
-    /// `GET /metrics`.
-    peers: Vec<Arc<ServiceMetrics>>,
-    cache: Option<Arc<ResponseCache>>,
-    /// Exact-bytes front memo: endpoint tag + raw request body → served
+    metrics: ServiceMetrics,
+    /// Exact-bytes memo: endpoint tag + raw request body → served
     /// response. A repeated byte-identical body (the loadgen cache-hit
     /// workload, a client retry) short-circuits *before* JSON parsing —
     /// the whole request costs one hash of the body plus one LRU probe.
     /// Sound because `/v1/*` responses are pure functions of the body.
-    /// Misses fall through to the canonical-instance cache, which still
-    /// dedups semantically-equal bodies that differ in formatting.
-    body_cache: Option<Arc<ResponseCache>>,
+    cache: Option<ResponseCache>,
     /// Admission control: the operator quota engine plus per-tenant
-    /// accounting, shared across a shard group so quotas bound the
-    /// *fleet's* concurrency, not one shard's.
-    admission: Arc<Mutex<AdmissionState>>,
+    /// accounting.
+    admission: Mutex<AdmissionState>,
 }
 
 /// Per-tenant admission counters surfaced under `/metrics`.
@@ -159,13 +148,13 @@ impl Drop for TicketGuard<'_> {
     }
 }
 
-/// 128-bit digest of an exact request body, keying the front memo.
+/// 128-bit digest of an exact request body, keying the memo.
 ///
-/// Unlike the canonical key this never leaves the process and carries no
-/// cross-version stability contract, so it trades [`StableHasher`]'s
-/// byte-at-a-time FNV for a 16-bytes-per-step multiply–xor: on the tight
-/// CPU budget of a cache-hit request, hashing a ~10 KiB body byte-wise
-/// would cost more than the rest of the hit path combined. A collision
+/// The digest never leaves the process and carries no cross-version
+/// stability contract, so it uses a 16-bytes-per-step multiply–xor
+/// rather than a byte-at-a-time FNV: on the tight CPU budget of a
+/// cache-hit request, hashing a ~10 KiB body byte-wise would cost more
+/// than the rest of the hit path combined. A collision
 /// would serve the wrong cached response, but at 128 bits of state the
 /// chance is negligible for any realistic cache population.
 fn body_hash(tag: u64, bytes: &[u8]) -> u128 {
@@ -190,47 +179,15 @@ fn body_hash(tag: u64, bytes: &[u8]) -> u128 {
 }
 
 impl App {
-    /// Build the application state: the one member of a one-shard
-    /// [`App::shard_group`].
+    /// Build the application state.
     pub fn new(config: AppConfig) -> App {
-        App::shard_group(config, 1)
-            .pop()
-            .expect("a shard group has at least one member")
-    }
-
-    /// Build `shards` apps that serve as one fleet: each has its own
-    /// metrics handle (no cross-shard lock traffic while serving), all
-    /// share one response cache, and each holds the full peer list so
-    /// `GET /metrics` merges the fleet wherever it lands.
-    pub fn shard_group(config: AppConfig, shards: usize) -> Vec<App> {
-        let shards = shards.max(1);
-        let cache = (config.cache_entries > 0).then(|| {
-            Arc::new(ResponseCache::new(
-                config.cache_entries,
-                config.cache_shards,
-            ))
-        });
-        let body_cache = (config.cache_entries > 0).then(|| {
-            Arc::new(ResponseCache::new(
-                config.cache_entries,
-                config.cache_shards,
-            ))
-        });
-        let admission = Arc::new(Mutex::new(AdmissionState::new(config.quotas.clone())));
-        let handles: Vec<Arc<ServiceMetrics>> = (0..shards)
-            .map(|_| Arc::new(ServiceMetrics::new()))
-            .collect();
-        handles
-            .iter()
-            .map(|metrics| App {
-                config: config.clone(),
-                metrics: Arc::clone(metrics),
-                peers: handles.clone(),
-                cache: cache.clone(),
-                body_cache: body_cache.clone(),
-                admission: Arc::clone(&admission),
-            })
-            .collect()
+        App {
+            cache: (config.cache_entries > 0)
+                .then(|| ResponseCache::new(config.cache_entries, CACHE_SHARDS)),
+            admission: Mutex::new(AdmissionState::new(config.quotas.clone())),
+            metrics: ServiceMetrics::new(),
+            config,
+        }
     }
 
     /// The configured limits.
@@ -243,14 +200,9 @@ impl App {
         &self.metrics
     }
 
-    /// The response cache, when enabled (exposed for tests).
+    /// The exact-bytes response memo, when enabled (exposed for tests).
     pub fn cache(&self) -> Option<&ResponseCache> {
-        self.cache.as_deref()
-    }
-
-    /// The exact-bytes front memo, when enabled (exposed for tests).
-    pub fn body_cache(&self) -> Option<&ResponseCache> {
-        self.body_cache.as_deref()
+        self.cache.as_ref()
     }
 
     /// Route one request, record its metrics, and produce the response.
@@ -313,17 +265,11 @@ impl App {
         json!({ "status": "ok", "solvers": SOLVER_NAMES })
     }
 
-    /// `GET /metrics`: the fleet-merged request metrics plus the shared
-    /// cache's counters.
+    /// `GET /metrics`: the request metrics plus the memo's counters.
     fn handle_metrics(&self) -> Value {
-        let mut snap = ServiceMetrics::snapshot_merged(self.peers.iter().map(Arc::as_ref));
-        let (hits, misses, evictions) = self
-            .cache
-            .as_ref()
-            .map(|c| c.counters())
-            .unwrap_or((0, 0, 0));
+        let mut snap = self.metrics.snapshot();
         let (body_hits, body_misses, body_evictions) = self
-            .body_cache
+            .cache
             .as_ref()
             .map(|c| c.counters())
             .unwrap_or((0, 0, 0));
@@ -332,14 +278,10 @@ impl App {
             "cache",
             json!({
                 "enabled": self.cache.is_some(),
-                "hits": hits,
-                "misses": misses,
-                "evictions": evictions,
-                "entries": self.cache.as_ref().map(|c| c.len()).unwrap_or(0),
                 "body_hits": body_hits,
                 "body_misses": body_misses,
                 "body_evictions": body_evictions,
-                "body_entries": self.body_cache.as_ref().map(|c| c.len()).unwrap_or(0),
+                "body_entries": self.cache.as_ref().map(|c| c.len()).unwrap_or(0),
             }),
         );
         let admission = self.admission.lock().expect("admission lock poisoned");
@@ -370,70 +312,13 @@ impl App {
         snap
     }
 
-    /// The canonical cache key for a solve-shaped request, or `None`
-    /// when the request is uncacheable (cache disabled, or the instance
-    /// has no canonical form). The key covers everything the response
-    /// bytes depend on: the endpoint, the echoed solver name (`/v1/solve`
-    /// only — `/v1/race` ignores `algo`), the exact ε rational, the
-    /// placement flag, the topology and resolved policy when present,
-    /// and the instance's semantic digest.
-    ///
-    /// **Forward safety:** new request fields only feed the hasher when
-    /// they are actually present, behind a version marker no older
-    /// request shape can produce — so a request without `topology`
-    /// hashes exactly as it did before v3 existed, and an omitted field
-    /// can never collide with an explicit non-default one. Pinned by
-    /// the cache-equivalence tests in `tests/service_cache.rs`.
-    fn cache_key(
-        &self,
-        endpoint: Endpoint,
-        sr: &SolveRequest,
-        instance: &Instance,
-    ) -> Option<u128> {
-        self.cache.as_ref()?;
-        let instance_digest = instance.canonical_hash()?;
-        let mut h = StableHasher::new();
-        match endpoint {
-            Endpoint::Solve => {
-                h.write_u64(1);
-                h.write_str(&sr.algo);
-            }
-            Endpoint::Race => h.write_u64(2),
-            _ => return None,
-        }
-        h.write_u128(sr.eps.num());
-        h.write_u128(sr.eps.den());
-        h.write_u64(sr.placements as u64);
-        if let Some(topology) = &sr.topology {
-            h.write_u64(3);
-            topology.hash_into(&mut h);
-            // The canonical label, so an omitted policy and an explicit
-            // `"contiguous"` (or `packed` vs `packed:node`) hash equal.
-            h.write_str(&sr.policy.label(topology));
-        }
-        if let Some(tenant) = &sr.tenant {
-            // The tenant feeds the key because v4 responses echo it.
-            // In-request `quotas` deliberately do not: they gate
-            // admission (which runs before any cache probe) and never
-            // change a 200 body, so two tenants' identical instances
-            // still share one cached response regardless of the rule
-            // sets they rode in with.
-            h.write_u64(4);
-            h.write_str(&tenant.user);
-            h.write_str(&tenant.project);
-            h.write_str(&tenant.class);
-        }
-        h.write_u128(instance_digest);
-        Some(h.finish())
-    }
-
     /// Run a parsed request through admission control. Tenant-free
     /// requests bypass it entirely (`Ok(None)`). A tenant-tagged request
     /// passes [`check_own_quotas`] first, then its demand is charged to
     /// the operator engine (stateful — concurrency plus windowed
-    /// history, shared across the shard group). Either denial is a 429
-    /// carrying the [`QuotaDenial`](moldable_sched::quotas::QuotaDenial)
-    /// verbatim, and charges nothing.
+    /// history). Either denial is a 429 carrying the
+    /// [`QuotaDenial`](moldable_sched::quotas::QuotaDenial) verbatim, and
+    /// charges nothing.
     fn admit(&self, sr: &SolveRequest, instance: &Instance) -> Result<Option<Ticket>, Failure> {
         let Some(tenant) = &sr.tenant else {
             return Ok(None);
@@ -460,11 +345,10 @@ impl App {
 
     /// Serve a byte-identical repeat of an earlier request straight from
     /// the exact-bytes memo — no JSON parse at all — or run `fill` (the
-    /// full handler, canonical cache included) and remember the served
-    /// bytes under the body hash. The key covers the endpoint tag and
-    /// every request byte, so two bodies that differ in any way (even
-    /// whitespace) take the miss path and rely on the canonical cache
-    /// for semantic dedup. Error responses are never memoized.
+    /// full handler) and remember the served bytes under the body hash.
+    /// The key covers the endpoint tag and every request byte, so two
+    /// bodies that differ in any way (even whitespace) take the miss
+    /// path and are computed afresh. Error responses are never memoized.
     ///
     /// Tenant-tagged bodies bypass the memo in both directions: serving
     /// them from remembered bytes would skip admission control (quota
@@ -482,7 +366,7 @@ impl App {
         body: &[u8],
         fill: impl FnOnce(&[u8]) -> Result<(String, bool), Failure>,
     ) -> Result<String, Failure> {
-        let cache = match self.body_cache.as_ref() {
+        let cache = match self.cache.as_ref() {
             Some(cache) if !contains_bytes(body, b"\"tenant\"") => cache,
             _ => return fill(body).map(|(served, _)| served),
         };
@@ -497,30 +381,10 @@ impl App {
         Ok(served)
     }
 
-    /// Serve from the cache, or compute via `fill` and remember the
-    /// serialized bytes. Only 200 responses reach this point — failures
-    /// return early through `?` before any insert.
-    fn cached(
-        &self,
-        key: Option<u128>,
-        fill: impl FnOnce() -> Result<String, Failure>,
-    ) -> Result<String, Failure> {
-        let (cache, key) = match (self.cache.as_ref(), key) {
-            (Some(cache), Some(key)) => (cache, key),
-            _ => return fill(),
-        };
-        if let Some(body) = cache.get(key) {
-            return Ok(body.to_string());
-        }
-        let body = fill()?;
-        cache.insert(key, Arc::from(body.as_str()));
-        Ok(body)
-    }
-
     /// `POST /v1/solve` and `POST /v1/race`, one staged pipeline: parse
     /// the body, resolve `algo` (solve only — a race runs the whole
-    /// roster and ignores it), admit, then serve from the canonical
-    /// cache or build the reply with [`solve_reply`] / [`race_reply`].
+    /// roster and ignores it), admit, then build the reply with
+    /// [`solve_reply`] / [`race_reply`].
     /// The `bool` tells [`App::body_memoized`] whether the served bytes
     /// may enter the exact-bytes memo: only tenant-free requests may,
     /// since admission has to run on every tagged repeat.
@@ -535,15 +399,11 @@ impl App {
             app: self,
             ticket: self.admit(&sr, &instance)?,
         };
-        let key = self.cache_key(endpoint, &sr, &instance);
-        let served = self.cached(key, || {
-            let reply = match &solver {
-                Some(solver) => solve_reply(&sr, &instance, solver.as_ref())?,
-                None => race_reply(&sr, &instance, self.config.race_threads)?,
-            };
-            Ok(serialize(&reply))
-        })?;
-        Ok((served, sr.tenant.is_none()))
+        let reply = match &solver {
+            Some(solver) => solve_reply(&sr, &instance, solver.as_ref())?,
+            None => race_reply(&sr, &instance, self.config.race_threads)?,
+        };
+        Ok((serialize(&reply), sr.tenant.is_none()))
     }
 }
 
@@ -1072,6 +932,10 @@ mod tests {
             (
                 r#"{"instance": {"m": 0, "jobs": []}}"#,
                 "invalid `instance`",
+            ),
+            (
+                r#"{"instance": {"m": 2, "jobs": []}}"#,
+                "instance must have at least one job",
             ),
             (
                 &format!(r#"{{"instance": {INSTANCE}, "eps": "0/4"}}"#),

@@ -1,25 +1,19 @@
-//! Canonical-instance response cache: a sharded, capacity-bounded LRU
-//! from 128-bit request keys to complete serialized response bodies.
+//! The service's response cache: a sharded, capacity-bounded LRU from
+//! 128-bit keys to complete serialized response bodies.
 //!
 //! `/v1/solve` and `/v1/race` responses are pure functions of the request
 //! body (no wall-clock fields, byte-deterministic serialization — pinned
-//! by `tests/service_golden.rs`), so the service can memoize the *exact
-//! bytes* it served and replay them for semantically identical requests.
-//! The key is [`moldable_core::StableHasher`] over the endpoint, solver
-//! name, accuracy, placement flag, and the canonical `JobView` digest —
-//! see `App::cache_key` — which means two requests that differ only in
-//! JSON formatting (whitespace, key order, `table` vs `staircase` specs
-//! inducing the same Pareto front) share one cache entry. The same
-//! structure also backs the app's exact-bytes front memo (raw body hash
-//! → served response, probed before any parsing); the two layers differ
-//! only in how their keys are derived.
+//! by `tests/service_golden.rs`), so the app memoizes the *exact bytes*
+//! it served under a hash of the endpoint and the raw body, and replays
+//! them for a byte-identical repeat before any parsing (see
+//! `App::body_memoized`).
 //!
 //! Structure: `shards` independent `Mutex<Shard>`s, selected by the key's
 //! low bits, so concurrent workers rarely contend on one lock. Each shard
 //! is a slab-backed intrusive doubly-linked LRU list plus a `HashMap`
-//! index; eviction is strict per-shard LRU at `capacity / shards` entries
-//! (so total residency never exceeds the configured capacity). Counters
-//! (hits/misses/evictions) are process-wide atomics surfaced in
+//! index; eviction is strict per-shard LRU. The shards' capacities sum to
+//! exactly the configured capacity, so total residency never exceeds it.
+//! Counters (hits/misses/evictions) are process-wide atomics surfaced in
 //! `/metrics`.
 
 use std::collections::HashMap;
@@ -90,11 +84,15 @@ impl Shard {
         Some(Arc::clone(&self.slab[slot].body))
     }
 
-    /// Insert or refresh; returns true when an entry was evicted.
+    /// Insert or refresh; returns true when an entry was evicted. A
+    /// zero-capacity shard stores nothing.
     fn insert(&mut self, key: u128, body: Arc<str>) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
         if let Some(&slot) = self.index.get(&key) {
-            // Same canonical key ⇒ same bytes (responses are pure), but
-            // refresh recency so repeated traffic keeps the entry warm.
+            // Same key ⇒ same bytes (responses are pure), but refresh
+            // recency so repeated traffic keeps the entry warm.
             self.unlink(slot);
             self.link_front(slot);
             self.slab[slot].body = body;
@@ -126,7 +124,7 @@ impl Shard {
     }
 }
 
-/// Sharded, capacity-bounded LRU keyed by stable 128-bit digests.
+/// Sharded, capacity-bounded LRU keyed by 128-bit digests.
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     /// Bitmask selecting the shard from the key's low bits.
@@ -138,16 +136,18 @@ pub struct ResponseCache {
 
 impl ResponseCache {
     /// A cache holding at most `capacity` entries total, spread over
-    /// `shards` locks (rounded up to a power of two, at least 1). A
-    /// `capacity` of 0 still constructs (every insert evicts nothing and
-    /// stores nothing); callers gate on capacity before building one.
+    /// `shards` locks (rounded up to a power of two, at least 1, and cut
+    /// to the largest power of two not above `capacity`, so every shard
+    /// holds at least one entry). The shards' capacities sum to exactly
+    /// `capacity`. A `capacity` of 0 still constructs and stores nothing;
+    /// callers gate on capacity before building one.
     pub fn new(capacity: usize, shards: usize) -> ResponseCache {
-        let shards = shards.max(1).next_power_of_two();
-        // Ceil-divide so total capacity is at least the request.
-        let per_shard = capacity.div_ceil(shards);
+        let most = 1 << capacity.max(1).ilog2();
+        let shards = shards.max(1).next_power_of_two().min(most);
+        let (base, extra) = (capacity / shards, capacity % shards);
         ResponseCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra))))
                 .collect(),
             mask: (shards - 1) as u128,
             hits: AtomicU64::new(0),
@@ -175,7 +175,7 @@ impl ResponseCache {
         found
     }
 
-    /// Store a serialized body under its canonical key.
+    /// Store a serialized body under its key.
     pub fn insert(&self, key: u128, body: Arc<str>) {
         let evicted = self
             .shard(key)
@@ -273,6 +273,36 @@ mod tests {
             cache.insert(k, body("x"));
         }
         assert!(cache.len() <= 12);
+    }
+
+    /// Fill with many distinct keys and return how many stayed resident.
+    fn residency_after_churn(capacity: usize, shards: usize) -> usize {
+        let cache = ResponseCache::new(capacity, shards);
+        for k in 0..1000u128 {
+            cache.insert(k, body("x"));
+        }
+        cache.len()
+    }
+
+    #[test]
+    fn two_entries_over_eight_shards_hold_two() {
+        // Ceil-divided shards used to hold one entry each: 8 in all.
+        assert_eq!(residency_after_churn(2, 8), 2);
+    }
+
+    #[test]
+    fn ten_entries_over_eight_shards_hold_ten() {
+        // Ceil-divided shards used to hold two entries each: 16 in all.
+        assert_eq!(residency_after_churn(10, 8), 10);
+    }
+
+    #[test]
+    fn zero_capacity_stores_nothing() {
+        let cache = ResponseCache::new(0, 1);
+        cache.insert(1, body("a"));
+        assert!(cache.is_empty());
+        assert!(cache.get(1).is_none());
+        assert_eq!(cache.counters(), (0, 1, 0));
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use cache::ResponseCache;
 pub use http::{Request, RequestParts, RequestReader, Response};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::ServiceMetrics;
-pub use server::{Server, ServerConfig, ShardedServer};
+pub use server::{Server, ServerConfig};
 pub use wire::{ErrorKind, Failure, SolveRequest};

@@ -116,19 +116,6 @@ fn client_loop(
 /// Run a closed-loop burst of `config.duration` against `addr`,
 /// replaying `bodies` round-robin. Panics if `bodies` is empty.
 pub fn run(addr: SocketAddr, bodies: &[String], config: &LoadgenConfig) -> LoadReport {
-    run_multi(&[addr], bodies, config)
-}
-
-/// Multi-target burst: client thread `t` pins its keep-alive connection
-/// to `addrs[t % addrs.len()]`, spreading the closed loop evenly across
-/// a sharded server's listeners. One address degenerates to [`run`].
-/// Panics if `addrs` or `bodies` is empty.
-pub fn run_multi(
-    addrs: &[SocketAddr],
-    bodies: &[String],
-    config: &LoadgenConfig,
-) -> LoadReport {
-    assert!(!addrs.is_empty(), "loadgen needs at least one target");
     assert!(
         !bodies.is_empty(),
         "loadgen needs at least one request body"
@@ -140,7 +127,6 @@ pub fn run_multi(
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let path = config.path.as_str();
-                let addr = addrs[t % addrs.len()];
                 scope.spawn(move || client_loop(addr, path, bodies, t, deadline))
             })
             .collect();
@@ -209,53 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_target_burst_spreads_over_a_sharded_fleet() {
-        use crate::server::ShardedServer;
-        let fleet = ShardedServer::bind(
-            ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            },
-            2,
-        )
-        .unwrap();
-        let body = r#"{"instance": {"m": 16, "jobs": [{"constant": 5}, {"table": [9, 6, 4]}]}, "algo": "linear"}"#;
-        let report = run_multi(
-            &fleet.addrs(),
-            &[body.to_string()],
-            &LoadgenConfig {
-                threads: 4,
-                duration: Duration::from_millis(300),
-                ..LoadgenConfig::default()
-            },
-        );
-        assert!(report.ok > 0, "no successful requests");
-        assert_eq!(report.errors, 0, "errors during a clean burst");
-        // With 4 threads round-robined over 2 shards, both shards served
-        // traffic, and the fleet totals add up to the client's count.
-        let per_shard: Vec<u64> = fleet
-            .servers()
-            .iter()
-            .map(|s| s.app().metrics().total_requests())
-            .collect();
-        assert!(
-            per_shard.iter().all(|&n| n > 0),
-            "idle shard: {per_shard:?}"
-        );
-        assert_eq!(per_shard.iter().sum::<u64>(), report.ok);
-        fleet.shutdown();
-    }
-
-    #[test]
     #[should_panic(expected = "at least one request body")]
     fn empty_body_set_is_rejected() {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         run(addr, &[], &LoadgenConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one target")]
-    fn empty_target_set_is_rejected() {
-        run_multi(&[], &["{}".to_string()], &LoadgenConfig::default());
     }
 }

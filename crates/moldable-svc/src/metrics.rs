@@ -17,7 +17,7 @@ use serde_json::{json, Value};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Requests kept in the sliding latency window (per metrics handle).
+/// Requests kept in the sliding latency window.
 pub const LATENCY_WINDOW: usize = 4096;
 
 /// The service's routable endpoints, in display order.
@@ -116,34 +116,11 @@ impl ServiceMetrics {
 
     /// Snapshot as the `GET /metrics` JSON document.
     pub fn snapshot(&self) -> Value {
-        Self::snapshot_merged(std::iter::once(self))
-    }
-
-    /// One `GET /metrics` document over several metrics handles — the
-    /// sharded server gives every listener shard its own handle (no
-    /// cross-shard lock traffic on the hot path) and merges here at read
-    /// time: counters sum, latency windows concatenate before the
-    /// percentile ranking, the all-time max is the max of maxes, and the
-    /// exact busy totals add. A single handle produces byte-identical
-    /// output to the pre-sharding `snapshot`.
-    pub fn snapshot_merged<'a>(handles: impl Iterator<Item = &'a ServiceMetrics>) -> Value {
-        let mut requests = [0u64; 5];
-        let mut errors = [0u64; 5];
-        let mut window: Vec<f64> = Vec::new();
-        let mut max_seconds = 0.0f64;
-        let mut busy = Ratio::zero();
-        let mut pushes: u64 = 0;
-        for handle in handles {
-            let inner = handle.inner.lock().expect("metrics lock never poisoned");
-            for e in 0..5 {
-                requests[e] += inner.requests[e];
-                errors[e] += inner.errors[e];
-            }
-            window.extend_from_slice(&inner.window);
-            max_seconds = max_seconds.max(inner.max_seconds);
-            busy = busy.add(&inner.busy.value());
-            pushes += inner.busy.count();
-        }
+        let inner = self.inner.lock().expect("metrics lock never poisoned");
+        let (requests, errors, max_seconds) = (inner.requests, inner.errors, inner.max_seconds);
+        let (busy, pushes) = (inner.busy.value(), inner.busy.count());
+        let mut window = inner.window.clone();
+        drop(inner);
         window.sort_by(|a, b| a.partial_cmp(b).expect("service times are finite"));
         let total: u64 = requests.iter().sum();
         let total_errors: u64 = errors.iter().sum();
@@ -258,32 +235,22 @@ mod tests {
     }
 
     #[test]
-    fn merged_snapshot_sums_shards() {
-        let a = ServiceMetrics::new();
-        let b = ServiceMetrics::new();
-        for i in 1..=50u64 {
-            a.record(Endpoint::Solve, 200, Duration::from_millis(i));
+    fn snapshot_totals_window_max_and_exact_busy_sum() {
+        let m = ServiceMetrics::new();
+        for i in 1..=100u64 {
+            m.record(Endpoint::Solve, 200, Duration::from_millis(i));
         }
-        for i in 51..=100u64 {
-            b.record(Endpoint::Solve, 200, Duration::from_millis(i));
-        }
-        b.record(Endpoint::Healthz, 500, Duration::from_secs(9));
-        let snap = ServiceMetrics::snapshot_merged([&a, &b].into_iter());
+        m.record(Endpoint::Healthz, 500, Duration::from_secs(9));
+        let snap = m.snapshot();
         assert_eq!(snap["requests_total"].as_u64(), Some(101));
         assert_eq!(snap["errors_total"].as_u64(), Some(1));
         assert_eq!(snap["endpoints"]["solve"]["requests"].as_u64(), Some(100));
         assert_eq!(snap["endpoints"]["healthz"]["errors"].as_u64(), Some(1));
-        // Percentiles rank over the union of both shards' windows.
         assert_eq!(snap["service_time"]["window"].as_u64(), Some(101));
         let max = snap["service_time"]["max_seconds"].as_f64().unwrap();
         assert!((max - 9.0).abs() < 1e-9, "max = {max}");
         // Busy totals add exactly: Σ 1..=100 ms + 9 s = 14.05 s.
         let busy = snap["service_time"]["busy_seconds_total"].as_f64().unwrap();
         assert!((busy - 14.05).abs() < 1e-9, "busy = {busy}");
-        // A merge over one handle is byte-identical to snapshot().
-        assert_eq!(
-            serde_json::to_string(&a.snapshot()).unwrap(),
-            serde_json::to_string(&ServiceMetrics::snapshot_merged([&a].into_iter())).unwrap()
-        );
     }
 }

@@ -8,8 +8,9 @@
 //! Each worker owns one connection at a time and serves HTTP/1.1
 //! keep-alive requests back to back, so a closed-loop client keeps one
 //! worker's cache warm. Per-request work (JSON parse → [`JobView`] build
-//! → solve → serialize) happens on the worker; there is no shared
-//! mutable state beyond the metrics counters.
+//! → solve → serialize) happens on the worker; the workers share one
+//! [`App`], whose only mutable state is its metrics, its response memo
+//! and its admission ledger.
 //!
 //! **Limits.** Bodies beyond [`AppConfig::max_body`] are rejected with
 //! `413` before buffering; an idle connection times out after
@@ -110,19 +111,12 @@ impl Server {
     /// Bind `config.addr` and spawn the worker pool. Returns once the
     /// listener is live — requests can be sent immediately.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let app = Arc::new(App::new(config.app.clone()));
-        Server::bind_with_app(&config, app)
-    }
-
-    /// Like [`Server::bind`] but serving a caller-built [`App`] — the
-    /// hook [`ShardedServer`] uses to put each listener shard behind its
-    /// own member of an [`App::shard_group`].
-    pub fn bind_with_app(config: &ServerConfig, app: Arc<App>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(ConnRegistry::default());
         let listener = Arc::new(listener);
+        let app = Arc::new(App::new(config.app));
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let listener = Arc::clone(&listener);
@@ -169,75 +163,6 @@ impl Server {
         self.conns.shutdown_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// `shards` independent listeners serving one fleet: each shard owns a
-/// port, a worker pool, and a metrics handle (no cross-shard lock
-/// traffic on the hot path), while all shards share one canonical-
-/// instance response cache. `GET /metrics` on **any** shard reports the
-/// merged fleet (see [`ServiceMetrics::snapshot_merged`]).
-///
-/// Port layout: with an explicit port `P` in `config.addr`, shard `i`
-/// binds `P + i`; with port 0 every shard takes its own ephemeral port.
-/// Clients spread themselves across [`ShardedServer::addrs`] — the
-/// load generator's multi-target mode does this round-robin per thread.
-///
-/// [`ServiceMetrics::snapshot_merged`]: crate::metrics::ServiceMetrics::snapshot_merged
-pub struct ShardedServer {
-    servers: Vec<Server>,
-}
-
-impl ShardedServer {
-    /// Bind `shards` listeners (clamped to ≥ 1) over one
-    /// [`App::shard_group`]. Fails if any port in the range is taken —
-    /// already-bound shards are shut down before the error returns.
-    pub fn bind(config: ServerConfig, shards: usize) -> std::io::Result<ShardedServer> {
-        let shards = shards.max(1);
-        let apps = App::shard_group(config.app.clone(), shards);
-        let base: Option<(String, u16)> = config
-            .addr
-            .rsplit_once(':')
-            .and_then(|(host, port)| Some((host.to_string(), port.parse::<u16>().ok()?)))
-            .filter(|&(_, port)| port != 0);
-        let mut servers: Vec<Server> = Vec::with_capacity(shards);
-        for (i, app) in apps.into_iter().enumerate() {
-            let shard_config = ServerConfig {
-                addr: match &base {
-                    Some((host, port)) => format!("{host}:{}", port + i as u16),
-                    None => config.addr.clone(),
-                },
-                ..config.clone()
-            };
-            match Server::bind_with_app(&shard_config, Arc::new(app)) {
-                Ok(server) => servers.push(server),
-                Err(e) => {
-                    for server in servers {
-                        server.shutdown();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(ShardedServer { servers })
-    }
-
-    /// Every shard's bound address, in shard order.
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.servers.iter().map(Server::local_addr).collect()
-    }
-
-    /// The shards themselves (shard 0 is the primary — scripts read its
-    /// address from the `{"listening": …}` line).
-    pub fn servers(&self) -> &[Server] {
-        &self.servers
-    }
-
-    /// Shut every shard down and join all worker pools.
-    pub fn shutdown(self) {
-        for server in self.servers {
-            server.shutdown();
         }
     }
 }
@@ -425,65 +350,31 @@ mod tests {
         );
     }
 
+    /// An instance without jobs used to panic the solver and take its
+    /// worker down; it is a typed 400 on both endpoints, and the one
+    /// worker is still there to answer the next request.
     #[test]
-    fn sharded_server_merges_metrics_and_shares_the_cache() {
-        let fleet = ShardedServer::bind(
-            ServerConfig {
-                workers: 1,
-                idle_timeout: Duration::from_secs(5),
-                ..ServerConfig::default()
-            },
-            3,
-        )
-        .expect("binding three ephemeral shards");
-        let addrs = fleet.addrs();
-        assert_eq!(addrs.len(), 3);
-        // Same body to every shard: the first solve is the fleet's only
-        // cache miss, the other two hit the shared cache and answer
-        // byte-identically.
-        let responses: Vec<Response> = addrs
-            .iter()
-            .map(|&addr| roundtrip(addr, "POST", "/v1/solve", BODY.as_bytes()))
-            .collect();
-        for resp in &responses {
-            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-            assert_eq!(resp.body, responses[0].body);
-        }
-        // /metrics on ANY shard sees all three solves plus the shared
-        // caches' counters: the byte-identical repeats land in the
-        // exact-bytes memo (1 miss from shard 0, 2 hits from the rest),
-        // so the canonical cache under it sees only the single miss.
-        for &addr in &addrs {
-            let metrics = roundtrip(addr, "GET", "/metrics", b"");
+    fn an_empty_instance_is_a_bad_request_and_the_worker_survives() {
+        let server = tiny_server(1);
+        let addr = server.local_addr();
+        let empty = br#"{"instance": {"m": 2, "jobs": []}, "algo": "linear"}"#;
+        for path in ["/v1/solve", "/v1/race"] {
+            let resp = roundtrip(addr, "POST", path, empty);
+            assert_eq!(resp.status, 400, "{path}");
             let v: Value =
-                serde_json::from_str(std::str::from_utf8(&metrics.body).unwrap()).unwrap();
-            assert_eq!(v["endpoints"]["solve"]["requests"].as_u64(), Some(3));
-            assert_eq!(v["cache"]["body_hits"].as_u64(), Some(2));
-            assert_eq!(v["cache"]["body_misses"].as_u64(), Some(1));
-            assert_eq!(v["cache"]["hits"].as_u64(), Some(0));
-            assert_eq!(v["cache"]["misses"].as_u64(), Some(1));
+                serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            assert_eq!(v["error"]["kind"].as_str(), Some("bad-request"), "{path}");
+            assert!(
+                v["error"]["detail"]
+                    .as_str()
+                    .unwrap()
+                    .contains("at least one job"),
+                "{path}: {v:?}"
+            );
         }
-        fleet.shutdown();
-    }
-
-    #[test]
-    fn sharded_server_uses_consecutive_ports_from_an_explicit_base() {
-        // Retry a few bases in case a port in the range is taken.
-        for base in [38651u16, 47353, 52741] {
-            let config = ServerConfig {
-                addr: format!("127.0.0.1:{base}"),
-                workers: 1,
-                idle_timeout: Duration::from_secs(5),
-                ..ServerConfig::default()
-            };
-            if let Ok(fleet) = ShardedServer::bind(config, 2) {
-                let ports: Vec<u16> = fleet.addrs().iter().map(SocketAddr::port).collect();
-                assert_eq!(ports, vec![base, base + 1]);
-                fleet.shutdown();
-                return;
-            }
-        }
-        panic!("all candidate port ranges were taken");
+        let resp = roundtrip(addr, "POST", "/v1/solve", BODY.as_bytes());
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        server.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `moldable-loadgen` — closed-loop load generator for `moldable-svc`.
 //!
 //! ```text
-//! moldable-loadgen --addr HOST:PORT[,HOST:PORT…] [--threads N] [--seconds S]
+//! moldable-loadgen --addr HOST:PORT [--threads N] [--seconds S]
 //!                  [--family power-law|amdahl|comm-overhead|mixed] [--n N] [--m M]
 //!                  [--seed S] [--count C] [--algo NAME] [--eps N/D]
 //!                  [--trace FILE.swf] [--max-jobs N] [--tenants N]
@@ -11,14 +11,12 @@
 //! generators, or one instance lifted from an SWF trace), wraps them as
 //! `/v1/solve` bodies, fires them round-robin from `N` client threads
 //! for `S` seconds, and prints a JSON report with throughput and latency
-//! percentiles. `--addr` takes a comma-separated target list (a sharded
-//! server's ports); client threads round-robin across the targets.
-//! `--tenants N` tags the bodies with synthetic round-robin tenants
-//! (`load0`, `load1`, …) to exercise the v4 admission path; note the
-//! tenant tag bypasses the service's exact-bytes memo by design.
+//! percentiles. `--tenants N` tags the bodies with synthetic round-robin
+//! tenants (`load0`, `load1`, …) to exercise the v4 admission path; note
+//! the tenant tag bypasses the service's exact-bytes memo by design.
 //! Exits non-zero if every request failed.
 
-use moldable::svc::loadgen::{run_multi, LoadgenConfig};
+use moldable::svc::loadgen::{run, LoadgenConfig};
 use moldable::workloads::{
     bench_instance, BenchFamily, FitModel, SwfSource, SwfTrace, SynthesisParams, WorkloadSource,
 };
@@ -29,7 +27,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage:
-  moldable-loadgen --addr HOST:PORT[,HOST:PORT...] [--threads N] [--seconds S] [--family power-law|amdahl|comm-overhead|mixed]
+  moldable-loadgen --addr HOST:PORT [--threads N] [--seconds S] [--family power-law|amdahl|comm-overhead|mixed]
                    [--n N] [--m M] [--seed S] [--count C] [--algo NAME] [--eps N/D] [--trace FILE.swf] [--max-jobs N]
                    [--tenants N]";
 
@@ -116,29 +114,21 @@ fn bodies(args: &[String]) -> Result<Vec<String>, String> {
 }
 
 fn run_cli(args: &[String]) -> Result<bool, String> {
-    let addr_raw = flag(args, "--addr").ok_or("missing --addr HOST:PORT[,HOST:PORT...]")?;
-    let addrs: Vec<SocketAddr> = addr_raw
-        .split(',')
-        .map(|one| {
-            one.to_socket_addrs()
-                .map_err(|e| format!("--addr {one}: {e}"))?
-                .next()
-                .ok_or_else(|| format!("--addr {one}: no address resolved"))
-        })
-        .collect::<Result<_, String>>()?;
+    let addr_raw = flag(args, "--addr").ok_or("missing --addr HOST:PORT")?;
+    let addr: SocketAddr = addr_raw
+        .to_socket_addrs()
+        .map_err(|e| format!("--addr {addr_raw}: {e}"))?
+        .next()
+        .ok_or_else(|| format!("--addr {addr_raw}: no address resolved"))?;
     let config = LoadgenConfig {
         threads: parse_or(args, "--threads", 4)?,
         duration: Duration::from_secs_f64(parse_or(args, "--seconds", 5.0)?),
         path: "/v1/solve".to_string(),
     };
     let bodies = bodies(args)?;
-    let report = run_multi(&addrs, &bodies, &config);
+    let report = run(addr, &bodies, &config);
     let out = json!({
-        "addr": addrs
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
+        "addr": addr.to_string(),
         "threads": report.threads,
         "distinct_bodies": bodies.len(),
         "elapsed_seconds": report.elapsed.as_secs_f64(),

@@ -1,37 +1,46 @@
 //! `moldable-svc` — serve the scheduling service over HTTP.
 //!
 //! ```text
-//! moldable-svc [--addr HOST:PORT] [--workers N] [--shards N] [--eps N/D]
+//! moldable-svc [--addr HOST:PORT] [--workers N] [--eps N/D]
 //!              [--max-body BYTES] [--race-threads N] [--idle-timeout SECONDS]
-//!              [--cache-entries N] [--cache-shards N] [--quotas FILE]
+//!              [--cache-entries N] [--quotas FILE]
 //! ```
 //!
 //! `--quotas FILE` loads an operator admission rule set (the same JSON
 //! object grammar as the request-level `quotas` field: `{"window": N,
 //! "rules": [{"user", "project", "class", "max_procs", "max_jobs",
 //! "max_resource_seconds"}, …]}`); tenant-tagged requests are admitted
-//! against it fleet-wide, over-quota solves get a typed 429.
+//! against it, over-quota solves get a typed 429.
 //!
-//! Prints one JSON line `{"listening": "HOST:PORT", "workers": N,
-//! "shards": ["HOST:PORT", …]}` to stdout once every listener is live
-//! (port 0 resolves to the actual ephemeral ports — scripts read the
-//! primary address from `"listening"`; `--shards N` binds N consecutive
-//! ports from the base, each with its own worker pool, sharing one
-//! response cache). Serves until killed. Endpoints: `POST /v1/solve`,
+//! Prints one JSON line `{"listening": "HOST:PORT", "workers": N}` to
+//! stdout once the listener is live (port 0 resolves to the actual
+//! ephemeral port). Serves until killed. Endpoints: `POST /v1/solve`,
 //! `POST /v1/race`, `GET /healthz`, `GET /metrics` — see DESIGN.md's
 //! "Service front-end".
 
 use moldable::sched::batch;
 use moldable::svc::app::parse_eps;
-use moldable::svc::{AppConfig, ServerConfig, ShardedServer};
+use moldable::svc::{AppConfig, Server, ServerConfig};
 use serde_json::json;
 use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage:
-  moldable-svc [--addr HOST:PORT] [--workers N] [--shards N] [--eps N/D] [--max-body BYTES]
-               [--race-threads N] [--idle-timeout SECONDS] [--cache-entries N] [--cache-shards N]
-               [--quotas FILE]";
+  moldable-svc [--addr HOST:PORT] [--workers N] [--eps N/D] [--max-body BYTES]
+               [--race-threads N] [--idle-timeout SECONDS] [--cache-entries N] [--quotas FILE]";
+
+/// Every option takes a value; anything else is refused rather than
+/// ignored, so a removed option cannot silently change the service.
+const OPTIONS: [&str; 8] = [
+    "--addr",
+    "--workers",
+    "--eps",
+    "--max-body",
+    "--race-threads",
+    "--idle-timeout",
+    "--cache-entries",
+    "--quotas",
+];
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -41,6 +50,13 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    if let Some(bad) = args
+        .iter()
+        .step_by(2)
+        .find(|a| !OPTIONS.contains(&a.as_str()))
+    {
+        return Err(format!("unknown option `{bad}`"));
+    }
     let mut config = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
         ..ServerConfig::default()
@@ -80,34 +96,20 @@ fn run(args: &[String]) -> Result<(), String> {
             .parse()
             .map_err(|_| "bad --cache-entries (need an integer >= 0)")?;
     }
-    if let Some(shards) = flag(args, "--cache-shards") {
-        app.cache_shards = match shards.parse() {
-            Ok(0) | Err(_) => return Err("bad --cache-shards (need an integer >= 1)".into()),
-            Ok(s) => s,
-        };
-    }
     if let Some(path) = flag(args, "--quotas") {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read --quotas {path}: {e}"))?;
         app.quotas = Some(moldable::svc::wire::quotas_from_str(&text)?);
     }
-    let shards: usize = match flag(args, "--shards") {
-        None => 1,
-        Some(raw) => match raw.parse() {
-            Ok(0) | Err(_) => return Err("bad --shards (need an integer >= 1)".into()),
-            Ok(s) => s,
-        },
-    };
     config.app = app;
     let workers = config.workers;
-    let fleet = ShardedServer::bind(config, shards).map_err(|e| format!("bind failed: {e}"))?;
-    let addrs: Vec<String> = fleet.addrs().iter().map(|a| a.to_string()).collect();
+    let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
+    let addr = server.local_addr().to_string();
     println!(
         "{}",
         serde_json::to_string(&json!({
-            "listening": addrs[0],
+            "listening": addr,
             "workers": workers,
-            "shards": addrs,
         }))
         .expect("shim serialization is infallible")
     );
@@ -115,10 +117,7 @@ fn run(args: &[String]) -> Result<(), String> {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "moldable-svc listening on http://{} ({} shards x {} workers); endpoints: POST /v1/solve, POST /v1/race, GET /healthz, GET /metrics",
-        addrs.join(" http://"),
-        addrs.len(),
-        workers,
+        "moldable-svc listening on http://{addr} ({workers} workers); endpoints: POST /v1/solve, POST /v1/race, GET /healthz, GET /metrics",
     );
     // Serve until the process is killed: park this thread forever while
     // the worker pool runs.

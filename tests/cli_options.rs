@@ -2,6 +2,8 @@
 //! solver, and `--eps` takes exactly the fractions the service's `"eps"`
 //! field takes — N/D in (0, 1] with a reduced denominator of at most
 //! 1000 — failing with the typed `bad-request` envelope otherwise.
+//! `moldable-svc` refuses an option it does not know, such as the removed
+//! `--shards`, instead of serving without it.
 
 use moldable::sched::SOLVER_NAMES;
 use serde_json::Value;
@@ -65,6 +67,38 @@ fn eps_is_bounded_below_by_one_thousandth() {
             out.status.success(),
             "eps {eps}: {}",
             String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn svc_refuses_unknown_options() {
+    for removed in ["--shards", "--cache-shards"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_moldable-svc"))
+            .args(["--addr", "127.0.0.1:0", removed, "2"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("the moldable-svc binary runs");
+        // A server that started anyway would never exit: stop it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().unwrap();
+                child.wait().unwrap();
+                panic!("moldable-svc started with {removed}");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        assert_eq!(status.code(), Some(1), "{removed}");
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown option `{removed}`")),
+            "{stderr}"
         );
     }
 }

@@ -5,7 +5,8 @@
 //!   construction.
 //! * Corrupt schedules (oversubscribed, duplicate, missing, phantom jobs)
 //!   are caught by both the analytic validator and the simulator.
-//! * Corrupt instance specs fail to load with precise errors.
+//! * Corrupt instance specs (and empty ones) fail to load with precise
+//!   errors.
 //! * The profit-scaling knapsack FPTAS — the alternative the paper rejects
 //!   in Section 4.2 — demonstrably loses more schedule work than the
 //!   compressible-knapsack approach tolerates.
@@ -206,6 +207,45 @@ fn malformed_json_fails_cleanly() {
 
     let garbage = r#"{"m": 4, "jobs": [{"wibble": 5}]}"#;
     assert!(serde_json::from_str::<InstanceSpec>(garbage).is_err());
+}
+
+/// The solvers assume at least one job (the dual search asserts it), so
+/// an empty job list is refused when the spec is built: the CLI exits 1
+/// with the typed envelope instead of panicking.
+#[test]
+fn instance_spec_rejects_an_empty_job_list() {
+    let spec: InstanceSpec = serde_json::from_str(r#"{"m": 2, "jobs": []}"#).unwrap();
+    assert_eq!(spec.build().unwrap_err(), SpecError::NoJobs);
+    // A zero machine count is still named first.
+    let spec: InstanceSpec = serde_json::from_str(r#"{"m": 0, "jobs": []}"#).unwrap();
+    assert_eq!(spec.build().unwrap_err(), SpecError::ZeroMachines);
+
+    let input = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("empty_instance.json");
+    std::fs::write(&input, r#"{"m": 2, "jobs": []}"#).unwrap();
+    for command in ["solve", "race"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_moldable"))
+            .args([
+                command,
+                "--input",
+                input.to_str().unwrap(),
+                "--algo",
+                "linear",
+            ])
+            .output()
+            .expect("the moldable binary runs");
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let envelope: serde_json::Value =
+            serde_json::from_str(&stderr).expect("a typed error envelope");
+        assert_eq!(envelope["error"]["kind"].as_str(), Some("bad-request"));
+        assert!(
+            envelope["error"]["detail"]
+                .as_str()
+                .unwrap()
+                .contains("at least one job"),
+            "{command}: {envelope:?}"
+        );
+    }
 }
 
 #[test]

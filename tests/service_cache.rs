@@ -1,12 +1,12 @@
-//! The response caches must be invisible in the response bytes: for
-//! every registry solver, both wire-format shapes (with and without
-//! `placements`), and both endpoints, a cache-hit response — whether it
-//! came from the exact-bytes front memo (byte-identical repeat) or the
-//! canonical-instance cache (reformatted body) — is byte-identical to
-//! the cache-miss response, which is byte-identical to what a
-//! cache-disabled app serves. Also pins the semantic-key behavior:
-//! equivalent curve encodings share one entry, `Custom`-free instances
-//! are all cacheable, and both layers' counters move independently.
+//! The exact-bytes response memo must be invisible in the response
+//! bytes: for every registry solver, both wire-format shapes (with and
+//! without `placements`), and both endpoints, a memo hit and a
+//! reformatted body (a memo miss, computed afresh) are byte-identical to
+//! what a cache-disabled app serves. Also pins response properties that
+//! hold with or without caching — equivalent encodings and default
+//! spellings answer equal bytes, a tenant tag changes only `schema` and
+//! the echo, in-request quotas never change a 200 body — and that the
+//! memo never serves a tenant-tagged body or an error.
 
 use moldable::sched::SOLVER_NAMES;
 use moldable::svc::http::{Request, Response};
@@ -45,6 +45,10 @@ fn body_text(resp: &Response) -> String {
     String::from_utf8(resp.body.clone()).unwrap()
 }
 
+fn metrics(app: &App) -> serde_json::Value {
+    serde_json::from_str(&body_text(&app.respond(&get("/metrics")))).unwrap()
+}
+
 /// Small enough for the exact solver (n ≤ 6, m ≤ 6) so every registry
 /// name answers 200, with all curve families the wire speaks.
 const SMALL: &str = r#"{"m": 4, "jobs": [
@@ -71,10 +75,9 @@ fn cached_responses_match_uncached_for_every_solver_and_shape() {
             let miss = cached.respond(&req);
             // Byte-identical repeat: served by the exact-bytes memo.
             let body_hit = cached.respond(&req);
-            // Same request with extra whitespace: misses the memo but
-            // hits the canonical-instance cache underneath.
-            let reformatted = post("/v1/solve", &format!(" {body}"));
-            let canonical_hit = cached.respond(&reformatted);
+            // Same request with extra whitespace: misses the memo and is
+            // computed afresh.
+            let reformatted = cached.respond(&post("/v1/solve", &format!(" {body}")));
             assert_eq!(
                 miss, reference,
                 "{algo} (placements={placements}): miss diverged"
@@ -84,19 +87,15 @@ fn cached_responses_match_uncached_for_every_solver_and_shape() {
                 "{algo} (placements={placements}): body hit diverged"
             );
             assert_eq!(
-                canonical_hit, reference,
-                "{algo} (placements={placements}): canonical hit diverged"
+                reformatted, reference,
+                "{algo} (placements={placements}): reformatted body diverged"
             );
         }
     }
-    // Every (algo, placements) pair is its own entry in both layers: per
-    // pair the canonical cache saw one miss (first request) and one hit
-    // (the reformatted body), the exact-bytes memo one hit (the repeat)
+    // Per (algo, placements) pair the memo scored one hit (the repeat)
     // and two misses (two distinct byte strings).
     let pairs = (SOLVER_NAMES.len() * 2) as u64;
-    let (hits, misses, evictions) = cached.cache().unwrap().counters();
-    assert_eq!((hits, misses, evictions), (pairs, pairs, 0));
-    let (body_hits, body_misses, body_evictions) = cached.body_cache().unwrap().counters();
+    let (body_hits, body_misses, body_evictions) = cached.cache().unwrap().counters();
     assert_eq!(
         (body_hits, body_misses, body_evictions),
         (pairs, 2 * pairs, 0)
@@ -118,118 +117,81 @@ fn race_responses_cache_and_match_uncached() {
         assert_eq!(hit, reference, "placements={placements}: hit diverged");
     }
     // `/v1/race` ignores `algo`, so bodies differing only in `algo`
-    // share one canonical entry (both are exact-bytes misses: the memo
-    // only serves byte-identical repeats).
+    // answer equal bytes (both are memo misses: the memo only serves
+    // byte-identical repeats).
     let body = format!(r#"{{"instance": {SMALL}, "algo": "dual-fptas"}}"#);
     let with_algo = cached.respond(&post("/v1/race", &body));
     let plain = cached.respond(&post("/v1/race", &format!(r#"{{"instance": {SMALL}}}"#)));
     assert_eq!(with_algo, plain);
-    // Canonical: 2 misses from the loop, 2 hits from the algo variants.
     // Memo: 2 hits from the loop's repeats, 4 distinct byte strings.
-    let (hits, misses, _) = cached.cache().unwrap().counters();
-    assert_eq!((hits, misses), (2, 2));
-    let (body_hits, body_misses, _) = cached.body_cache().unwrap().counters();
+    let (body_hits, body_misses, _) = cached.cache().unwrap().counters();
     assert_eq!((body_hits, body_misses), (2, 4));
 }
 
 #[test]
-fn equivalent_encodings_share_one_cache_entry() {
-    let app = cached_app();
+fn equivalent_encodings_answer_equal_bytes() {
+    let app = uncached_app();
     // A non-increasing table and its canonical staircase are the same
-    // curve on [1, m] — one entry, second request is a hit.
+    // curve on [1, m], so they answer the same bytes.
     let table = r#"{"instance": {"m": 8, "jobs": [{"table": [10, 6, 6, 5, 5, 5, 5, 5]}]}, "algo": "linear"}"#;
     let stair = r#"{"instance": {"m": 8, "jobs": [{"staircase": [[1, 10], [2, 6], [4, 5]]}]}, "algo": "linear"}"#;
     let a = app.respond(&post("/v1/solve", table));
     let b = app.respond(&post("/v1/solve", stair));
     assert_eq!(a.status, 200, "{}", body_text(&a));
     assert_eq!(a.body, b.body, "equivalent encodings answered differently");
-    let (hits, misses, _) = app.cache().unwrap().counters();
-    assert_eq!((hits, misses), (1, 1), "encodings did not share an entry");
-    // Different ε is a different key even on the same instance.
+    // A different ε is a different answer even on the same instance.
     let other_eps = r#"{"instance": {"m": 8, "jobs": [{"table": [10, 6, 6, 5, 5, 5, 5, 5]}]}, "algo": "linear", "eps": "1/8"}"#;
-    app.respond(&post("/v1/solve", other_eps));
-    let (hits, misses, _) = app.cache().unwrap().counters();
-    assert_eq!((hits, misses), (1, 2), "eps leaked into a shared entry");
+    let c = app.respond(&post("/v1/solve", other_eps));
+    assert_eq!(c.status, 200, "{}", body_text(&c));
+    assert_ne!(a.body, c.body, "eps did not reach the answer");
 }
 
-/// The forward-safety contract for cache keys: a field that is omitted
-/// and a field set to its default (or to an equivalent spelling) must
-/// hash to the same canonical key — otherwise the arrival of new v3
-/// request fields would silently split (or worse, collide) entries for
-/// semantically identical requests.
+/// A field that is omitted and a field set to its default (or to an
+/// equivalent spelling) must answer the same bytes, and the v2/v3 shapes
+/// stay apart.
 #[test]
-fn omitted_and_default_fields_share_one_cache_key() {
-    let app = cached_app();
-    let hits = || app.cache().unwrap().counters().0;
-    let misses = || app.cache().unwrap().counters().1;
-    // v2 shape: explicit `"placements": false` ≡ omitted.
-    let plain = app.respond(&post(
-        "/v1/solve",
-        &format!(r#"{{"instance": {SMALL}, "algo": "linear"}}"#),
-    ));
-    let explicit = app.respond(&post(
-        "/v1/solve",
-        &format!(r#"{{"instance": {SMALL}, "algo": "linear", "placements": false}}"#),
-    ));
-    assert_eq!(plain.body, explicit.body);
-    assert_eq!(
-        (hits(), misses()),
-        (1, 1),
-        "default placements split the key"
-    );
-    // v3 shape: omitted policy ≡ explicit default `"contiguous"`.
-    let topo = app.respond(&post(
-        "/v1/solve",
-        &format!(r#"{{"instance": {SMALL}, "algo": "linear", "topology": "2*2"}}"#),
-    ));
-    assert_eq!(topo.status, 200, "{}", body_text(&topo));
-    assert_eq!((hits(), misses()), (1, 2), "topology must be a fresh key");
-    let topo_explicit = app.respond(&post(
-        "/v1/solve",
-        &format!(
-            r#"{{"instance": {SMALL}, "algo": "linear", "topology": "2*2", "policy": "contiguous"}}"#
-        ),
-    ));
-    assert_eq!(topo.body, topo_explicit.body);
-    assert_eq!((hits(), misses()), (2, 2), "default policy split the key");
-    // Equivalent topology spellings (arity spec vs explicit blocks)
-    // and policy spellings (`packed` vs `packed:node`) share entries.
-    let packed_bare = app.respond(&post(
-        "/v1/solve",
-        &format!(
-            r#"{{"instance": {SMALL}, "algo": "linear", "topology": "2*2", "policy": "packed"}}"#
-        ),
-    ));
-    let packed_named = app.respond(&post(
-        "/v1/solve",
-        &format!(
-            r#"{{"instance": {SMALL}, "algo": "linear", "topology": "0-1|2-3;0|1|2|3", "policy": "packed:node"}}"#
-        ),
-    ));
-    assert_eq!(packed_bare.body, packed_named.body);
-    assert_eq!((hits(), misses()), (3, 3), "equivalent v3 spellings split");
-    // And the v2/v3 shapes never collide: the flat response stayed v2.
-    let v: serde_json::Value = serde_json::from_str(&body_text(&plain)).unwrap();
-    assert_eq!(v["schema"].as_u64(), Some(2));
-    let v: serde_json::Value = serde_json::from_str(&body_text(&topo)).unwrap();
-    assert_eq!(v["schema"].as_u64(), Some(3));
-}
-
-/// Marker-4 forward safety: the tenant identity is part of the
-/// canonical cache key (tagged and untagged requests never share an
-/// entry, two tenants never share one), the defaulted project/class
-/// spellings hash like the omitted ones, and the request-level `quotas`
-/// object is deliberately NOT hashed — admission is a gate, not a
-/// response input, so rule changes must not split entries. Tenant-tagged
-/// bodies also bypass the exact-bytes memo entirely (admission has to
-/// run on every repeat), which the memo counters prove.
-#[test]
-fn tenant_is_a_cache_key_but_quotas_are_not() {
-    let app = cached_app();
-    let counters = || {
-        let (h, m, _) = app.cache().unwrap().counters();
-        (h, m)
+fn omitted_and_default_fields_answer_equal_bytes() {
+    let app = uncached_app();
+    let solve = |extra: &str| {
+        let resp = app.respond(&post(
+            "/v1/solve",
+            &format!(r#"{{"instance": {SMALL}, "algo": "linear"{extra}}}"#),
+        ));
+        assert_eq!(resp.status, 200, "{extra}: {}", body_text(&resp));
+        resp.body
     };
+    // v2 shape: explicit `"placements": false` ≡ omitted.
+    let plain = solve("");
+    assert_eq!(plain, solve(r#", "placements": false"#));
+    // v3 shape: omitted policy ≡ explicit default `"contiguous"`.
+    let topo = solve(r#", "topology": "2*2""#);
+    assert_eq!(
+        topo,
+        solve(r#", "topology": "2*2", "policy": "contiguous""#)
+    );
+    // Equivalent topology spellings (arity spec vs explicit blocks)
+    // and policy spellings (`packed` vs `packed:node`) answer equally.
+    assert_eq!(
+        solve(r#", "topology": "2*2", "policy": "packed""#),
+        solve(r#", "topology": "0-1|2-3;0|1|2|3", "policy": "packed:node""#)
+    );
+    // And the v2/v3 shapes never collide: the flat response stayed v2.
+    let schema = |bytes: &[u8]| {
+        let v: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(bytes).unwrap()).unwrap();
+        v["schema"].as_u64()
+    };
+    assert_eq!(schema(&plain), Some(2));
+    assert_eq!(schema(&topo), Some(3));
+}
+
+/// A tenant tag changes only `schema` and the trailing echo; two tenants
+/// get their own echoes, the defaulted project/class spellings answer
+/// like the omitted ones, and the request-level `quotas` object never
+/// changes a 200 body — admission is a gate, not a response input.
+#[test]
+fn tenant_changes_only_schema_and_echo_and_quotas_change_nothing() {
+    let app = uncached_app();
     let solve = |extra: &str| {
         let body = format!(r#"{{"instance": {SMALL}, "algo": "linear"{extra}}}"#);
         let resp = app.respond(&post("/v1/solve", &body));
@@ -237,41 +199,56 @@ fn tenant_is_a_cache_key_but_quotas_are_not() {
         body_text(&resp)
     };
     let plain = solve("");
-    assert_eq!(counters(), (0, 1));
     let alice = solve(r#", "tenant": {"user": "alice"}"#);
-    assert_eq!(counters(), (0, 2), "tenant must be a fresh canonical key");
-    let alice_repeat = solve(r#", "tenant": {"user": "alice"}"#);
-    assert_eq!(alice_repeat, alice);
-    assert_eq!(counters(), (1, 2), "tagged repeat must hit canonically");
+    assert_eq!(solve(r#", "tenant": {"user": "alice"}"#), alice);
     let bob = solve(r#", "tenant": {"user": "bob"}"#);
-    assert_eq!(counters(), (1, 3), "two tenants must not share an entry");
     assert_ne!(bob, alice, "tenant echo must name the caller");
-    // Explicit defaults hash like omitted parts — same alice entry.
     let alice_explicit =
         solve(r#", "tenant": {"user": "alice", "project": "default", "class": "default"}"#);
     assert_eq!(alice_explicit, alice);
-    assert_eq!(counters(), (2, 3), "default tenant parts split the key");
-    // Quotas are admission-only: same key, same bytes as bare alice.
     let alice_quotas = solve(
         r#", "tenant": {"user": "alice"}, "quotas": {"rules": [{"user": "alice", "max_procs": 64}]}"#,
     );
-    assert_eq!(alice_quotas, alice);
-    assert_eq!(counters(), (3, 3), "quotas leaked into the cache key");
-    // The exact-bytes memo only ever saw the untagged body: one miss,
-    // zero hits — every tagged request (even byte-identical repeats)
-    // bypassed it so admission always runs.
-    let (body_hits, body_misses, _) = app.body_cache().unwrap().counters();
+    assert_eq!(alice_quotas, alice, "quotas changed a 200 body");
+    // The untagged body stayed v2 while tagged replies are v4, and
+    // nothing else differs.
+    let plain: serde_json::Value = serde_json::from_str(&plain).unwrap();
+    let alice: serde_json::Value = serde_json::from_str(&alice).unwrap();
+    assert_eq!(plain["schema"].as_u64(), Some(2));
+    assert_eq!(alice["schema"].as_u64(), Some(4));
+    assert_eq!(alice["tenant"]["user"].as_str(), Some("alice"));
+    let fields = |v: serde_json::Value| match v {
+        serde_json::Value::Object(fields) => fields
+            .into_iter()
+            .filter(|(k, _)| k != "schema" && k != "tenant")
+            .collect::<Vec<_>>(),
+        other => panic!("object reply expected, got {other:?}"),
+    };
+    assert_eq!(fields(alice), fields(plain));
+}
+
+/// Tenant-tagged bodies skip the memo in both directions: every
+/// byte-identical repeat is computed again and admitted again, and the
+/// memo never counts it.
+#[test]
+fn tenant_tagged_repeats_skip_the_memo_and_run_admission() {
+    let app = cached_app();
+    let body =
+        format!(r#"{{"instance": {SMALL}, "algo": "linear", "tenant": {{"user": "carol"}}}}"#);
+    let first = app.respond(&post("/v1/solve", &body));
+    assert_eq!(first.status, 200, "{}", body_text(&first));
+    for _ in 0..2 {
+        assert_eq!(app.respond(&post("/v1/solve", &body)), first);
+    }
+    let memo = app.cache().unwrap();
+    assert!(memo.is_empty(), "a tenant-tagged response was memoized");
+    assert_eq!(memo.counters(), (0, 0, 0), "a tagged body reached the memo");
+    let m = metrics(&app);
     assert_eq!(
-        (body_hits, body_misses),
-        (0, 1),
-        "a tagged body hit the memo"
+        m["tenants"]["carol/default/default"]["admitted"].as_u64(),
+        Some(3),
+        "admission skipped on a repeat: {m:?}"
     );
-    // And the untagged body stayed v2 while tagged replies are v4.
-    let v: serde_json::Value = serde_json::from_str(&plain).unwrap();
-    assert_eq!(v["schema"].as_u64(), Some(2));
-    let v: serde_json::Value = serde_json::from_str(&alice).unwrap();
-    assert_eq!(v["schema"].as_u64(), Some(4));
-    assert_eq!(v["tenant"]["user"].as_str(), Some("alice"));
 }
 
 /// Regression: a tenant tag whose key is spelled with a `\uXXXX` escape
@@ -297,19 +274,18 @@ fn escaped_tenant_key_cannot_ride_the_exact_bytes_memo() {
     assert_eq!(second.status, 200);
     assert_eq!(body_text(&second), body_text(&first));
     // The replay must not have been served from remembered bytes …
-    let body_cache = app.body_cache().unwrap();
+    let memo = app.cache().unwrap();
     assert!(
-        body_cache.is_empty(),
+        memo.is_empty(),
         "a tenant-tagged response was memoized by body"
     );
     assert_eq!(
-        body_cache.counters().0,
+        memo.counters().0,
         0,
         "a tenant-tagged replay scored a memo hit"
     );
     // … and admission must have charged the tenant both times.
-    let metrics = app.respond(&get("/metrics"));
-    let m: serde_json::Value = serde_json::from_str(&body_text(&metrics)).unwrap();
+    let m = metrics(&app);
     assert_eq!(
         m["tenants"]["alice/default/default"]["admitted"].as_u64(),
         Some(2),
@@ -321,27 +297,18 @@ fn escaped_tenant_key_cannot_ride_the_exact_bytes_memo() {
 fn errors_are_never_cached() {
     let app = cached_app();
     for _ in 0..2 {
-        let resp = app.respond(&post("/v1/solve", r#"{"instance": {"m": 0, "jobs": []}}"#));
-        assert_eq!(resp.status, 400);
-        let resp = app.respond(&post(
-            "/v1/solve",
-            &format!(r#"{{"instance": {SMALL}, "algo": "quantum"}}"#),
-        ));
-        assert_eq!(resp.status, 400);
+        for bad in [
+            r#"{"instance": {"m": 0, "jobs": []}}"#.to_string(),
+            r#"{"instance": {"m": 2, "jobs": []}}"#.to_string(),
+            format!(r#"{{"instance": {SMALL}, "algo": "quantum"}}"#),
+        ] {
+            let resp = app.respond(&post("/v1/solve", &bad));
+            assert_eq!(resp.status, 400, "{bad}");
+        }
     }
-    let cache = app.cache().unwrap();
-    assert!(cache.is_empty(), "a failed request left a cache entry");
-    assert_eq!(cache.counters().0, 0, "a failed request scored a hit");
-    let body_cache = app.body_cache().unwrap();
-    assert!(
-        body_cache.is_empty(),
-        "a failed request was memoized by body"
-    );
-    assert_eq!(
-        body_cache.counters().0,
-        0,
-        "a failed repeat scored a memo hit"
-    );
+    let memo = app.cache().unwrap();
+    assert!(memo.is_empty(), "a failed request was memoized by body");
+    assert_eq!(memo.counters().0, 0, "a failed repeat scored a memo hit");
 }
 
 #[test]
@@ -350,19 +317,18 @@ fn metrics_expose_cache_counters() {
     let req = post("/v1/solve", &format!(r#"{{"instance": {SMALL}}}"#));
     app.respond(&req);
     app.respond(&req);
-    let metrics = app.respond(&get("/metrics"));
-    let v: serde_json::Value = serde_json::from_str(&body_text(&metrics)).unwrap();
+    let v = metrics(&app);
     assert_eq!(v["cache"]["enabled"].as_bool(), Some(true));
-    // The byte-identical repeat is an exact-bytes memo hit; only the
-    // first request ever reached the canonical cache (one miss).
-    assert_eq!(v["cache"]["hits"].as_u64(), Some(0));
-    assert_eq!(v["cache"]["misses"].as_u64(), Some(1));
-    assert_eq!(v["cache"]["entries"].as_u64(), Some(1));
+    // The byte-identical repeat is a memo hit.
     assert_eq!(v["cache"]["body_hits"].as_u64(), Some(1));
     assert_eq!(v["cache"]["body_misses"].as_u64(), Some(1));
+    assert_eq!(v["cache"]["body_evictions"].as_u64(), Some(0));
     assert_eq!(v["cache"]["body_entries"].as_u64(), Some(1));
-    let disabled = uncached_app().respond(&get("/metrics"));
-    let v: serde_json::Value = serde_json::from_str(&body_text(&disabled)).unwrap();
+    // The memo is the only cache: no second layer's counters.
+    for gone in ["hits", "misses", "evictions", "entries"] {
+        assert!(v["cache"].get(gone).is_none(), "`cache.{gone}` is back");
+    }
+    let v = metrics(&uncached_app());
     assert_eq!(v["cache"]["enabled"].as_bool(), Some(false));
 }
 
@@ -370,7 +336,6 @@ fn metrics_expose_cache_counters() {
 fn tiny_cache_evicts_but_stays_correct() {
     let app = App::new(AppConfig {
         cache_entries: 2,
-        cache_shards: 1,
         ..AppConfig::default()
     });
     let uncached = uncached_app();
@@ -381,7 +346,7 @@ fn tiny_cache_evicts_but_stays_correct() {
             )
         })
         .collect();
-    // Two passes over 6 distinct instances through 2 slots: constant
+    // Two passes over 6 distinct bodies through 2 slots: constant
     // eviction churn, every response still byte-exact.
     for _ in 0..2 {
         for body in &bodies {
@@ -389,9 +354,9 @@ fn tiny_cache_evicts_but_stays_correct() {
             assert_eq!(app.respond(&req), uncached.respond(&req));
         }
     }
-    let cache = app.cache().unwrap();
-    let (_, misses, evictions) = cache.counters();
+    let memo = app.cache().unwrap();
+    let (_, misses, evictions) = memo.counters();
     assert!(evictions > 0, "no eviction despite 6 keys in 2 slots");
     assert!(misses >= 6, "second pass should keep missing under churn");
-    assert!(cache.len() <= 2, "capacity bound violated: {}", cache.len());
+    assert!(memo.len() <= 2, "capacity bound violated: {}", memo.len());
 }
