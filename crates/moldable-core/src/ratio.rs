@@ -10,8 +10,10 @@
 //! all representable values. Arithmetic (`+`, `*`) reduces by gcd first and
 //! panics on irreducible overflow — in the scheduling algorithms all
 //! denominators are tiny (products of 2, 3 and the denominator of ε), so an
-//! overflow indicates a logic error. Grid generation, which *does* compound
-//! factors, goes through [`Ratio::round_down_bits`] to keep operands small.
+//! overflow indicates a logic error. Geometric grids, which *do* compound
+//! factors, round each step down onto a dyadic fixed point
+//! ([`crate::geom::FixedGrid`]) and read their thresholds through the
+//! widening [`Ratio::floor_mul_int`] / [`Ratio::ceil_mul_int`].
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -34,7 +36,7 @@ const fn gcd(mut a: u128, mut b: u128) -> u128 {
 }
 
 /// Widening multiply: `a * b` as `(hi, lo)` 256-bit value.
-fn wide_mul(a: u128, b: u128) -> (u128, u128) {
+pub fn wide_mul(a: u128, b: u128) -> (u128, u128) {
     const MASK: u128 = (1u128 << 64) - 1;
     let (a_hi, a_lo) = (a >> 64, a & MASK);
     let (b_hi, b_lo) = (b >> 64, b & MASK);
@@ -176,6 +178,29 @@ impl Ratio {
         Ratio::new(num, self.den / g)
     }
 
+    /// `⌊self·v⌋`, through a widening product: exact for every `v`, no
+    /// `gcd`. Panics if the result exceeds `u128`.
+    pub fn floor_mul_int(&self, v: u128) -> u128 {
+        self.div_rem_mul_int(v).0
+    }
+
+    /// `⌈self·v⌉`, through a widening product like
+    /// [`Ratio::floor_mul_int`]. Panics if the result exceeds `u128`.
+    pub fn ceil_mul_int(&self, v: u128) -> u128 {
+        let (q, r) = self.div_rem_mul_int(v);
+        q + u128::from(r != 0)
+    }
+
+    /// `self.num·v` divided by `self.den`: quotient and remainder.
+    fn div_rem_mul_int(&self, v: u128) -> (u128, u128) {
+        let (hi, lo) = wide_mul(self.num, v);
+        assert!(
+            hi < self.den,
+            "Ratio::mul_int overflow: the result exceeds u128"
+        );
+        div_256_by_128(hi, lo, self.den)
+    }
+
     /// Divide by an integer. Panics if `v == 0`.
     pub fn div_int(&self, v: u128) -> Ratio {
         assert!(v != 0, "Ratio::div_int by zero");
@@ -290,7 +315,8 @@ fn div_256_by_128(hi: u128, lo: u128, d: u128) -> (u128, u128) {
     debug_assert!(d != 0);
     debug_assert!(hi < d, "div_256_by_128 quotient overflow");
     if hi == 0 {
-        return (lo / d, lo % d);
+        let q = lo / d;
+        return (q, lo - q * d);
     }
     let mut q: u128 = 0;
     let mut rem = hi;
@@ -515,6 +541,26 @@ mod tests {
         // A value below 2^-k floors to zero.
         let tiny = Ratio::new(1, u128::MAX);
         assert_eq!(tiny.mul_round_down(&Ratio::one(), 32), Ratio::zero());
+    }
+
+    #[test]
+    fn floor_and_ceil_of_products_are_exact() {
+        let r = Ratio::new(7, 3);
+        assert_eq!(r.floor_mul_int(4), 9); // 28/3
+        assert_eq!(r.ceil_mul_int(4), 10);
+        assert_eq!(r.floor_mul_int(3), 7);
+        assert_eq!(r.ceil_mul_int(3), 7);
+        // num·v overflows u128, the result does not.
+        let big = Ratio::new(u128::MAX - 1, u128::MAX);
+        assert_eq!(big.floor_mul_int(1 << 100), (1 << 100) - 1);
+        assert_eq!(big.ceil_mul_int(1 << 100), 1 << 100);
+        assert_eq!(Ratio::zero().ceil_mul_int(u128::MAX), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn floor_mul_int_refuses_results_past_u128() {
+        let _ = Ratio::from_int(3).floor_mul_int(u128::MAX / 2);
     }
 
     #[test]

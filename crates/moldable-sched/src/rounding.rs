@@ -12,7 +12,11 @@
 //!   [`SizeClassGrid`]
 //!   (exact below `b`, geometric `1+ρ` steps above);
 //! * times of jobs wide in a shelf round **down** onto
-//!   `geom(s/2, s, 1+4ρ)` per shelf height `s ∈ {d, d/2}` (Lemma 17);
+//!   `geom(s/2, s, 1+4ρ)` per shelf height `s ∈ {d, d/2}` (Lemma 17).
+//!   Both grids start at the dyadic values `d/2` and `d/4`, so as
+//!   [`FixedGrid`]s every value is an integer over `2^48`: a time rounds
+//!   by one integer search, and the saved work of a job wide in S2 is
+//!   `⌊(n_half·p_half − n_d·p_d)/2^48⌋` through a widening product;
 //! * profits of jobs narrow in both shelves round to `0` (below `δd/2`)
 //!   or **up** to their top `B = bitlen(⌈b/δ⌉) + 1` significant bits
 //!   ([`ProfitRounding`]). As `2^(B−1) ≥ b/δ`, no profit grows by more
@@ -24,8 +28,8 @@
 
 use crate::shelves::ShelfContext;
 use moldable_core::compression::{DoubleCompression, SizeClassGrid};
-use moldable_core::geom::rgeom;
-use moldable_core::ratio::Ratio;
+use moldable_core::geom::{FixedGrid, GRID_BITS};
+use moldable_core::ratio::{wide_mul, Ratio};
 use moldable_core::types::{JobId, Time, Work};
 use moldable_core::view::JobView;
 use moldable_knapsack::bounded::ItemType;
@@ -78,6 +82,33 @@ impl ProfitRounding {
     }
 }
 
+/// A Lemma 17 time grid `geom(lo, 2·lo, 1+4ρ)` whose `lo` is dyadic, so
+/// every value is a numerator over `2^GRID_BITS`.
+struct TimeGrid {
+    /// `lo·2^48`.
+    lo: u128,
+    grid: FixedGrid,
+}
+
+impl TimeGrid {
+    fn new(lo: &Ratio, hi: &Ratio, stretch: &Ratio) -> Self {
+        TimeGrid {
+            lo: lo.floor_mul_int(1 << GRID_BITS),
+            grid: FixedGrid::new(lo, hi, stretch),
+        }
+    }
+
+    /// The numerator of `t` rounded down onto the grid, or of `lo` when
+    /// `t` lies below it.
+    fn round(&self, t: Time) -> u128 {
+        let nums = self.grid.numerators();
+        match nums.partition_point(|&n| n <= u128::from(t) << GRID_BITS) {
+            0 => self.lo,
+            k => nums[k - 1],
+        }
+    }
+}
+
 /// Round the knapsack jobs of `ctx` (classified at target `d`) to item
 /// types under `dc`'s parameters.
 pub fn round_knapsack_types(
@@ -94,17 +125,8 @@ pub fn round_knapsack_types(
     // Rounding grids (Section 4.3.1).
     let sizes = SizeClassGrid::build(dc, view.m());
     let stretch = rho.mul_int(4).one_plus(); // 1 + 4ρ
-    let time_grid_d = rgeom(&d_ratio.div_int(2), &d_ratio, &stretch);
-    let time_grid_half = rgeom(&d_ratio.div_int(4), &half_d, &stretch);
-    let round_time = |t: Time, grid: &[Ratio]| -> Ratio {
-        let v = Ratio::from(t);
-        let idx = grid.partition_point(|g| *g <= v);
-        if idx == 0 {
-            grid[0]
-        } else {
-            grid[idx - 1]
-        }
-    };
+    let time_grid_d = TimeGrid::new(&half_d, &d_ratio, &stretch);
+    let time_grid_half = TimeGrid::new(&d_ratio.div_int(4), &half_d, &stretch);
     let profits = ProfitRounding::new(dc, d);
 
     // Round every knapsack job to a type.
@@ -118,13 +140,16 @@ pub fn round_knapsack_types(
             // Narrow in S2: round the original profit.
             profits.round(bj.profit)
         } else {
-            // Wide in S2: saved work according to rounded values.
-            let t_d = round_time(view.time(bj.id, bj.gamma_d), &time_grid_d);
-            let t_half = round_time(view.time(bj.id, gamma_half), &time_grid_half);
-            let saved_half = t_half.mul_int(rounded_half as u128);
-            let saved_d = t_d.mul_int(size as u128);
-            if saved_half > saved_d {
-                saved_half.sub(&saved_d).floor()
+            // Wide in S2: saved work according to rounded values,
+            // ⌊(t̃_half·p̃_half − t̃_d·p̃_d)⌋ over numerators of 2^48.
+            let t_d = time_grid_d.round(view.time(bj.id, bj.gamma_d));
+            let t_half = time_grid_half.round(view.time(bj.id, gamma_half));
+            let (ah, al) = wide_mul(t_half, u128::from(rounded_half));
+            let (bh, bl) = wide_mul(t_d, u128::from(size));
+            if (ah, al) > (bh, bl) {
+                let (lo, borrow) = al.overflowing_sub(bl);
+                let hi = ah - bh - u128::from(borrow);
+                (hi << (128 - GRID_BITS)) | (lo >> GRID_BITS)
             } else {
                 0
             }

@@ -20,7 +20,14 @@
 //! [`TransformMode::Bucketed`] keys jobs by geometrically rounded times in
 //! `O(1/δ)` buckets (Section 4.3.3), trading a `(1+4ρ)` horizon stretch for
 //! linear time.
+//!
+//! The bucket grid `geom(d/4, 3d/2, 1+4ρ)` is a [`FixedGrid`]: every value
+//! after `d/4` is an integer over `2^48`, so a job's bucket is an integer
+//! search, the number of keys `≤ ¾d` and the rule-(ii) pair limits are
+//! read off the numerators once per call, and no key is an exact rational
+//! except on the below-grid path of the special case.
 
+use moldable_core::geom::{fixed_floor, FixedGrid};
 use moldable_core::ratio::Ratio;
 use moldable_core::types::{JobId, Procs, Time};
 use moldable_core::view::JobView;
@@ -121,17 +128,58 @@ pub enum TransformMode {
     },
 }
 
+/// Bucketed mode's keys: the grid `geom(d/4, 3d/2, 1+4ρ)` and the rule
+/// thresholds read off it.
+struct BucketKeys {
+    grid: FixedGrid,
+    /// Number of grid values `≤ ¾d`.
+    k34: usize,
+    /// `pair_limit[k]` is the number of grid values `g'` with
+    /// `grid[k] + g' ≤ 3d/2` — the rule-(ii) special-case check as one
+    /// index comparison.
+    pair_limit: Vec<usize>,
+}
+
+impl BucketKeys {
+    /// Keys at target `d` with rounding factor `stretch`.
+    fn new(d: &Ratio, stretch: &Ratio) -> Self {
+        let three_halves_d = d.mul(&Ratio::new(3, 2));
+        // Covers every key we can see: (0, 3d/2].
+        let grid = FixedGrid::new(&d.div_int(4), &three_halves_d, stretch);
+        let k34 = grid.count_le(&d.mul(&Ratio::new(3, 4)));
+        // Values after d/4 pair when their numerators sum to at most
+        // ⌊(3d/2)·2^48⌋. With d/4 (not dyadic) a value pairs iff it is at
+        // most 3d/2 − d/4 = 5d/4; the pairs of any value form a prefix
+        // of the grid, found by a two-pointer pass over the numerators.
+        let five_quarters_d = d.mul(&Ratio::new(5, 4));
+        let (pair_sum, pairs_lo) =
+            (fixed_floor(&three_halves_d), fixed_floor(&five_quarters_d));
+        let nums = grid.numerators();
+        let mut pair_limit = Vec::with_capacity(grid.len());
+        pair_limit.push(grid.count_le(&five_quarters_d));
+        let mut limit = nums.len();
+        for &n in nums {
+            while limit > 0 && n + nums[limit - 1] > pair_sum {
+                limit -= 1;
+            }
+            pair_limit.push(usize::from(n <= pairs_lo) + limit);
+        }
+        BucketKeys {
+            grid,
+            k34,
+            pair_limit,
+        }
+    }
+}
+
 /// Candidate pool of one-processor, long (time > ¾d) S1 jobs for the
 /// special case of rule (ii): retrieve the one with the smallest (keyed)
 /// processing time.
 enum LongSingles {
     Exact(BinaryHeap<Reverse<(Time, JobId)>>),
-    /// `buckets[k]` holds jobs whose time rounds down to `grid[k]`.
+    /// `buckets[k]` holds jobs whose time rounds down to `keys.grid[k]`.
     Bucketed {
-        grid: Vec<Ratio>,
-        /// `⌈grid[k]⌉` — `grid[k] ≤ t` for integer `t` iff
-        /// `ceilings[k] ≤ t`, so bucket lookup is a pure-integer search.
-        ceilings: Vec<Time>,
+        keys: BucketKeys,
         buckets: Vec<Vec<(Time, JobId)>>,
         min_nonempty: usize,
     },
@@ -142,12 +190,11 @@ impl LongSingles {
         match self {
             LongSingles::Exact(h) => h.push(Reverse((time, id))),
             LongSingles::Bucketed {
-                ceilings,
+                keys,
                 buckets,
                 min_nonempty,
-                ..
             } => {
-                let k = ceilings.partition_point(|&c| c <= time).saturating_sub(1);
+                let k = keys.grid.count_le_int(time).saturating_sub(1);
                 buckets[k].push((time, id));
                 *min_nonempty = (*min_nonempty).min(k);
             }
@@ -191,14 +238,6 @@ struct Transformer<'a> {
     d_floor: Time,
     three_quarters_floor: Time,
     three_halves_floor: Time,
-    /// Bucketed mode only: number of grid values `≤ ¾d`.
-    k34: usize,
-    /// Bucketed mode only: `pair_limit[k]` is the number of grid values
-    /// `g'` with `grid[k] + g' ≤ 3d/2` — the rule-(ii) special-case
-    /// check as one integer comparison instead of a rational add
-    /// (grid denominators are 48-bit, so the adds were the hot cost).
-    pair_limit: Vec<usize>,
-    mode: TransformMode,
     s0: Vec<S0Column>,
     /// S1 jobs that are definitely staying (multi-proc long jobs).
     s1_rest: Vec<ShelfJob>,
@@ -210,45 +249,18 @@ struct Transformer<'a> {
 }
 
 impl<'a> Transformer<'a> {
-    /// Keyed (possibly rounded-down) time used in rule conditions.
-    fn keyed(&self, t: Time) -> Ratio {
-        match &self.mode {
-            TransformMode::Exact => Ratio::from(t),
-            TransformMode::Bucketed { .. } => {
-                if let LongSingles::Bucketed { grid, ceilings, .. } = &self.long_singles {
-                    let k = ceilings.partition_point(|&c| c <= t);
-                    if k == 0 {
-                        Ratio::from(t) // below the grid (cannot happen for big jobs)
-                    } else {
-                        grid[k - 1]
-                    }
-                } else {
-                    unreachable!("mode and pool kind always agree")
-                }
-            }
-        }
-    }
-
     /// Is the (keyed) time at most `¾d`? Exact mode compares the integer
     /// time against `⌊¾d⌋`; bucketed mode compares the *bucket index*
     /// against `k34` (the number of grid values `≤ ¾d`, computed exactly
     /// once up front) — no rational arithmetic on the per-job path.
     fn keyed_le_three_quarters(&self, t: Time) -> bool {
-        match &self.mode {
-            TransformMode::Exact => t <= self.three_quarters_floor,
-            TransformMode::Bucketed { .. } => {
-                if let LongSingles::Bucketed { ceilings, .. } = &self.long_singles {
-                    let k = ceilings.partition_point(|&c| c <= t);
-                    if k == 0 {
-                        // Below the grid: key is the raw integer time.
-                        t <= self.three_quarters_floor
-                    } else {
-                        k <= self.k34
-                    }
-                } else {
-                    unreachable!("mode and pool kind always agree")
-                }
-            }
+        match &self.long_singles {
+            LongSingles::Exact(_) => t <= self.three_quarters_floor,
+            LongSingles::Bucketed { keys, .. } => match keys.grid.count_le_int(t) {
+                // Below the grid: key is the raw integer time.
+                0 => t <= self.three_quarters_floor,
+                k => k <= keys.k34,
+            },
         }
     }
 
@@ -299,23 +311,26 @@ impl<'a> Transformer<'a> {
         let Some((t_long, id_long)) = self.long_singles.pop_min() else {
             return;
         };
-        let fits = match &self.mode {
+        let fits = match &self.long_singles {
             // Integer times: sum ≤ 3d/2 ⇔ sum ≤ ⌊3d/2⌋.
-            TransformMode::Exact => {
+            LongSingles::Exact(_) => {
                 narrow.time as u128 + t_long as u128 <= self.three_halves_floor as u128
             }
-            TransformMode::Bucketed { .. } => {
-                if let LongSingles::Bucketed { ceilings, .. } = &self.long_singles {
-                    let kn = ceilings.partition_point(|&c| c <= narrow.time);
-                    let kl = ceilings.partition_point(|&c| c <= t_long);
-                    if kn == 0 || kl == 0 {
-                        // Below-grid keys are raw times; compare exactly.
-                        self.keyed(narrow.time).add(&self.keyed(t_long)) <= self.three_halves_d
-                    } else {
-                        kl <= self.pair_limit[kn - 1]
-                    }
+            LongSingles::Bucketed { keys, .. } => {
+                let (kn, kl) = (
+                    keys.grid.count_le_int(narrow.time),
+                    keys.grid.count_le_int(t_long),
+                );
+                if kn == 0 || kl == 0 {
+                    // A below-grid key is the raw time (no big job's time
+                    // is below d/4); compare exactly.
+                    let key = |k: usize, t: Time| match k {
+                        0 => Ratio::from(t),
+                        _ => keys.grid.value(k - 1),
+                    };
+                    key(kn, narrow.time).add(&key(kl, t_long)) <= self.three_halves_d
                 } else {
-                    unreachable!("mode and pool kind always agree")
+                    kl <= keys.pair_limit[kn - 1]
                 }
             }
         };
@@ -353,33 +368,15 @@ pub fn transform(
         TransformMode::Exact => three_halves_d,
         TransformMode::Bucketed { stretch } => three_halves_d.mul(stretch),
     };
-    let mut k34 = 0usize;
-    let mut pair_limit: Vec<usize> = Vec::new();
     let long_singles = match &mode {
         TransformMode::Exact => LongSingles::Exact(BinaryHeap::new()),
         TransformMode::Bucketed { stretch } => {
-            // Grid covering every key we can see: (0, 3d/2].
-            let grid = moldable_core::geom::rgeom(&d.div_int(4), &three_halves_d, stretch);
-            let ceilings: Vec<Time> = grid.iter().map(|g| g.ceil() as Time).collect();
-            k34 = grid.partition_point(|g| *g <= three_quarters_d);
-            // pair_limit[k]: #grid values g' with grid[k] + g' ≤ 3d/2;
-            // two-pointer over the ascending grid (exact rationals, once).
-            let mut limit = grid.len();
-            pair_limit = grid
-                .iter()
-                .map(|g| {
-                    while limit > 0 && g.add(&grid[limit - 1]) > three_halves_d {
-                        limit -= 1;
-                    }
-                    limit
-                })
-                .collect();
-            let buckets = vec![Vec::new(); grid.len()];
+            let keys = BucketKeys::new(d, stretch);
+            let len = keys.grid.len();
             LongSingles::Bucketed {
-                min_nonempty: grid.len(),
-                grid,
-                ceilings,
-                buckets,
+                keys,
+                buckets: vec![Vec::new(); len],
+                min_nonempty: len,
             }
         }
     };
@@ -390,9 +387,6 @@ pub fn transform(
         d_floor: d.floor() as Time,
         three_quarters_floor: three_quarters_d.floor() as Time,
         three_halves_floor: three_halves_d.floor() as Time,
-        k34,
-        pair_limit,
-        mode,
         s0: Vec::new(),
         s1_rest: Vec::new(),
         long_singles,
@@ -604,6 +598,56 @@ mod tests {
         assert_eq!(out.s1.len(), 1);
         assert_eq!(out.s2.len(), 1);
         assert!(out.s0.is_empty());
+    }
+
+    /// `BucketKeys` against the definitions on the grid's own values:
+    /// `k34` counts values `≤ ¾d`, `pair_limit[k]` the values `g'` with
+    /// `grid[k] + g' ≤ 3d/2` (exact rational sums). `d = 8` with `x = 2`
+    /// puts two grid values exactly on `3d/2` (4 + 8), and with `x = 5` a
+    /// value exactly on `5d/4` (10, paired with `d/4 = 2`).
+    #[test]
+    fn bucket_keys_match_exact_rational_sums() {
+        let mut cases = vec![
+            (Ratio::from(8u64), Ratio::from(2u64)),
+            (Ratio::from(24u64), Ratio::from(2u64)),
+            (Ratio::from(8u64), Ratio::from(5u64)),
+            (Ratio::from(8u64), Ratio::new(3, 2)),
+        ];
+        // Stretched targets d′ = (1+δ)²d at ε = 1/4 and 1/16.
+        for (delta, x) in [
+            (Ratio::new(1, 20), Ratio::new(61, 60)),
+            (Ratio::new(1, 80), Ratio::new(241, 240)),
+        ] {
+            for d in [1u64, 2, 7, 1000, 123_456_789, 1 << 62] {
+                let d_prime = delta
+                    .one_plus()
+                    .mul(&delta.one_plus())
+                    .mul_int(u128::from(d));
+                cases.push((d_prime, x));
+            }
+        }
+        for (d, x) in cases {
+            let keys = BucketKeys::new(&d, &x);
+            let grid: Vec<Ratio> = (0..keys.grid.len()).map(|k| keys.grid.value(k)).collect();
+            let three_quarters_d = d.mul(&Ratio::new(3, 4));
+            let three_halves_d = d.mul(&Ratio::new(3, 2));
+            assert_eq!(
+                keys.k34,
+                grid.iter().filter(|g| **g <= three_quarters_d).count()
+            );
+            for (k, g) in grid.iter().enumerate() {
+                let pairs = grid.iter().filter(|h| g.add(h) <= three_halves_d).count();
+                assert_eq!(keys.pair_limit[k], pairs, "d = {d}, x = {x}, k = {k}");
+                for t in [g.ceil() - 1, g.ceil()] {
+                    let below = grid.iter().filter(|h| **h <= Ratio::from_int(t)).count();
+                    assert_eq!(
+                        keys.grid.count_le_int(t as Time),
+                        below,
+                        "d = {d}, x = {x}, t = {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

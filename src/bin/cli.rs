@@ -10,6 +10,10 @@
 //! moldable render   --input inst.json --schedule sched.json --out fig.svg
 //! ```
 //!
+//! Every command refuses an option its usage lines do not list (exit 1,
+//! `bad-request` envelope), so a misspelled option cannot silently take
+//! its default.
+//!
 //! Instance files use the compact-descriptor format of
 //! [`moldable::core::io`]; schedules are exported/imported as JSON rows
 //! `{job, start_num, start_den, procs}`.
@@ -68,7 +72,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   moldable solve    --input FILE [--algo mrt|alg1|alg3|linear|contiguous-73-50|conv-fptas|fptas|ptas|two-approx|sequential|exact] [--eps N/D] [--place] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
-  moldable race     --input FILE [--eps N/D] [--place] [--check] [--threads N] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
+  moldable race     --input FILE [--algo NAME] [--eps N/D] [--place] [--check] [--threads N] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable estimate --input FILE
   moldable generate --family power-law|amdahl|comm-overhead|mixed --n N --m M [--seed S]
   moldable generate --family swf --trace FILE.swf [--m M] [--model amdahl|downey] [--seed S] [--max-jobs N]
@@ -79,6 +83,8 @@ const USAGE: &str = "usage:
   moldable render   --input FILE --schedule FILE --out FILE.svg [--width W] [--height H]
 
 eps N/D is a fraction in (0, 1] whose reduced denominator is at most 1000.
+solve and race take one request shape; race runs every solver and ignores
+--algo, as /v1/race ignores \"algo\".
 STREAM is [--max-batch B] [--eps N/D] [--algo NAME] [--topology SPEC]
 [--policy P] [--fairshare on|off] [--half-life TICKS] [--report-users N];
 --max-batch defaults to 8192, and 0 plans the whole queue at every
@@ -89,6 +95,26 @@ contiguous, packed[:LEVEL], or spread[:LEVEL] (default contiguous).
 tenant SPEC is user[/project[/class]] (missing parts default to
 \"default\"); --quotas takes the wire-format v4 quota-set object,
 e.g. '{\"rules\": [{\"user\": \"alice\", \"max_procs\": 8}]}'.";
+
+/// Options that take no value; every other option takes the next
+/// argument as its value.
+const SWITCHES: [&str; 2] = ["--place", "--check"];
+
+/// Refuse any argument that is not one of `known` (the options the
+/// command's usage lines list) or the value of one, so a misspelled
+/// option fails instead of silently taking its default.
+fn check_options(args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !known.contains(&arg.as_str()) {
+            return Err(format!("unknown option `{arg}`"));
+        }
+        if !SWITCHES.contains(&arg.as_str()) {
+            rest.next();
+        }
+    }
+    Ok(())
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -131,6 +157,20 @@ fn solve_request(args: &[String]) -> Result<(SolveRequest, Instance), Failure> {
 /// `placements` rows, `--topology SPEC [--policy P]` the v3 fields, and
 /// `--tenant` the v4 echo.
 fn cmd_solve(args: &[String]) -> Result<(), Failure> {
+    check_options(
+        args,
+        &[
+            "--input",
+            "--algo",
+            "--eps",
+            "--place",
+            "--topology",
+            "--policy",
+            "--tenant",
+            "--quotas",
+        ],
+    )
+    .map_err(Failure::bad_request)?;
     let (req, inst) = solve_request(args)?;
     let solver = solver_by_name(&req.algo, &req.eps)?;
     check_own_quotas(&req, &inst, 0)?;
@@ -145,6 +185,22 @@ fn cmd_solve(args: &[String]) -> Result<(), Failure> {
 /// their proven ratio bound against the factor-2 estimator — the CI
 /// solver-parity gate.
 fn cmd_race(args: &[String]) -> Result<(), Failure> {
+    check_options(
+        args,
+        &[
+            "--input",
+            "--algo",
+            "--eps",
+            "--place",
+            "--check",
+            "--threads",
+            "--topology",
+            "--policy",
+            "--tenant",
+            "--quotas",
+        ],
+    )
+    .map_err(Failure::bad_request)?;
     let (req, inst) = solve_request(args)?;
     let threads = match flag(args, "--threads") {
         Some(s) => s
@@ -180,6 +236,7 @@ fn cmd_race(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), String> {
+    check_options(args, &["--input"])?;
     let inst = load_instance(args)?;
     let est = estimate(&inst);
     let out = json!({
@@ -227,6 +284,18 @@ fn swf_source(args: &[String]) -> Result<SwfSource, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
+    check_options(
+        args,
+        &[
+            "--family",
+            "--n",
+            "--m",
+            "--seed",
+            "--trace",
+            "--model",
+            "--max-jobs",
+        ],
+    )?;
     let inst = match flag(args, "--family").as_deref() {
         Some("swf") => swf_source(args)?.offline_instance(),
         family => {
@@ -241,6 +310,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
                 .ok_or("missing --n")?
                 .parse()
                 .map_err(|_| "bad --n")?;
+            if n == 0 {
+                // Every command that loads an instance refuses an empty one.
+                return Err("--n must be at least 1".into());
+            }
             let m: u64 = flag(args, "--m")
                 .ok_or("missing --m")?
                 .parse()
@@ -252,6 +325,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             bench_instance(family, n, m, seed)
         }
     };
+    if inst.n() == 0 {
+        // A trace window can be empty too (`--max-jobs 0`).
+        return Err("the instance has no jobs".into());
+    }
     let spec = InstanceSpec::from_instance(&inst).ok_or("unserializable instance")?;
     // Compact: an instance file is read back by programs, and at 10⁴–10⁵
     // jobs loading it is most of `solve`, `validate` and plan `simulate`.
@@ -288,6 +365,7 @@ fn load_schedule(args: &[String]) -> Result<Schedule, String> {
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
+    check_options(args, &["--input", "--schedule"])?;
     let inst = load_instance(args)?;
     let s = load_schedule(args)?;
     validate(&s, &inst).map_err(|e| e.to_string())?;
@@ -571,6 +649,32 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
+    // Plan mode, trace and model streams, and STREAM in [`USAGE`].
+    check_options(
+        args,
+        &[
+            "--input",
+            "--schedule",
+            "--trace",
+            "--m",
+            "--model",
+            "--seed",
+            "--max-jobs",
+            "--n",
+            "--gap",
+            "--users",
+            "--user-skew",
+            "--fit",
+            "--max-batch",
+            "--eps",
+            "--algo",
+            "--topology",
+            "--policy",
+            "--fairshare",
+            "--half-life",
+            "--report-users",
+        ],
+    )?;
     // Streaming paths: the Lublin–Feitelson model, an SWF trace, or a
     // topology-aware replay.
     if flag(args, "--model").as_deref() == Some("lublin")
@@ -601,6 +705,10 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
+    check_options(
+        args,
+        &["--input", "--schedule", "--out", "--width", "--height"],
+    )?;
     let inst = load_instance(args)?;
     let s = load_schedule(args)?;
     validate(&s, &inst).map_err(|e| e.to_string())?;

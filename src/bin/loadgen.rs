@@ -31,6 +31,24 @@ const USAGE: &str = "usage:
                    [--n N] [--m M] [--seed S] [--count C] [--algo NAME] [--eps N/D] [--trace FILE.swf] [--max-jobs N]
                    [--tenants N]";
 
+/// Every option takes a value; anything else is refused rather than
+/// ignored, so a misspelled option cannot silently take its default.
+const OPTIONS: [&str; 13] = [
+    "--addr",
+    "--threads",
+    "--seconds",
+    "--family",
+    "--n",
+    "--m",
+    "--seed",
+    "--count",
+    "--algo",
+    "--eps",
+    "--trace",
+    "--max-jobs",
+    "--tenants",
+];
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -114,6 +132,13 @@ fn bodies(args: &[String]) -> Result<Vec<String>, String> {
 }
 
 fn run_cli(args: &[String]) -> Result<bool, String> {
+    if let Some(bad) = args
+        .iter()
+        .step_by(2)
+        .find(|a| !OPTIONS.contains(&a.as_str()))
+    {
+        return Err(format!("unknown option `{bad}`"));
+    }
     let addr_raw = flag(args, "--addr").ok_or("missing --addr HOST:PORT")?;
     let addr: SocketAddr = addr_raw
         .to_socket_addrs()

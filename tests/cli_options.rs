@@ -3,7 +3,10 @@
 //! field takes — N/D in (0, 1] with a reduced denominator of at most
 //! 1000 — failing with the typed `bad-request` envelope otherwise.
 //! `moldable-svc` refuses an option it does not know, such as the removed
-//! `--shards`, instead of serving without it.
+//! `--shards`, instead of serving without it, and so do every `moldable`
+//! command and `moldable-loadgen`: a misspelled option fails instead of
+//! silently taking its default, while every option of the usage text is
+//! still taken. `generate` refuses to write an instance without jobs.
 
 use moldable::sched::SOLVER_NAMES;
 use serde_json::Value;
@@ -14,6 +17,45 @@ fn moldable(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("the moldable binary runs")
+}
+
+fn loadgen(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_moldable-loadgen"))
+        .args(args)
+        .output()
+        .expect("the moldable-loadgen binary runs")
+}
+
+/// The `bad-request` envelope a failed command prints, with its detail.
+fn bad_request(out: &Output) -> String {
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let envelope: Value = serde_json::from_str(&stderr).expect("a typed error");
+    assert_eq!(envelope["error"]["kind"].as_str(), Some("bad-request"));
+    envelope["error"]["detail"].as_str().unwrap().to_string()
+}
+
+/// Every `--option` of a usage fragment and whether it takes a value: one
+/// written `[--name]` is a switch, any other takes the token after it.
+fn usage_options(text: &str) -> Vec<(String, bool)> {
+    text.split_whitespace()
+        .map(|t| t.trim_start_matches('['))
+        .filter(|t| t.starts_with("--"))
+        .map(|t| (t.trim_end_matches(']').to_string(), !t.ends_with(']')))
+        .collect()
+}
+
+/// Arguments passing every option of `options`, each with the value `x`:
+/// enough to get past option checking, and bad enough to fail right after.
+fn with_dummy_values(options: &[(String, bool)]) -> Vec<String> {
+    let mut args = Vec::new();
+    for (name, takes_value) in options {
+        args.push(name.clone());
+        if *takes_value {
+            args.push("x".into());
+        }
+    }
+    args
 }
 
 #[test]
@@ -101,4 +143,102 @@ fn svc_refuses_unknown_options() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn a_misspelled_option_is_refused() {
+    let out = moldable(&[
+        "solve",
+        "--input",
+        "inst.json",
+        "--algo",
+        "linear",
+        "--esp",
+        "1/8",
+    ]);
+    let detail = bad_request(&out);
+    assert!(detail.contains("unknown option `--esp`"), "{detail}");
+    for cmd in [
+        "race", "estimate", "generate", "validate", "simulate", "render",
+    ] {
+        let detail = bad_request(&moldable(&[cmd, "--inptu", "inst.json"]));
+        assert!(
+            detail.contains("unknown option `--inptu`"),
+            "{cmd}: {detail}"
+        );
+    }
+    // The loadgen refuses before it connects anywhere.
+    let out = loadgen(&["--addr", "127.0.0.1:9", "--thread", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option `--thread`"), "{stderr}");
+}
+
+#[test]
+fn every_usage_option_is_accepted() {
+    let out = moldable(&["--help"]);
+    let help = String::from_utf8(out.stdout).unwrap();
+    let stream = help
+        .split("STREAM is ")
+        .nth(1)
+        .and_then(|rest| rest.split(';').next())
+        .expect("the usage defines STREAM");
+    let stream = usage_options(stream);
+    assert_eq!(stream.len(), 8, "{stream:?}");
+    let mut lines = 0;
+    for line in help.lines() {
+        let Some(rest) = line.trim_start().strip_prefix("moldable ") else {
+            continue;
+        };
+        let cmd = rest.split_whitespace().next().unwrap();
+        let mut options = usage_options(rest);
+        if rest.contains("[STREAM]") {
+            options.extend(stream.iter().cloned());
+        }
+        let mut args = vec![cmd.to_string()];
+        args.extend(with_dummy_values(&options));
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = moldable(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("unknown option"), "{line}: {stderr}");
+        lines += 1;
+    }
+    assert_eq!(lines, 10, "every usage line was tried");
+
+    let out = loadgen(&["--help"]);
+    let options = usage_options(&String::from_utf8(out.stdout).unwrap());
+    assert_eq!(options.len(), 13, "{options:?}");
+    let args = with_dummy_values(&options);
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let out = loadgen(&args);
+    assert_eq!(out.status.code(), Some(1), "`--addr x` cannot resolve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("unknown option"), "{stderr}");
+}
+
+#[test]
+fn generate_refuses_an_instance_without_jobs() {
+    for family in ["power-law", "amdahl", "comm-overhead", "mixed"] {
+        let out = moldable(&[
+            "generate", "--family", family, "--n", "0", "--m", "4", "--seed", "1",
+        ]);
+        let detail = bad_request(&out);
+        assert!(
+            detail.contains("--n must be at least 1"),
+            "{family}: {detail}"
+        );
+        assert!(out.stdout.is_empty(), "{family}: no instance is written");
+    }
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
+    let out = moldable(&[
+        "generate",
+        "--family",
+        "swf",
+        "--trace",
+        trace,
+        "--max-jobs",
+        "0",
+    ]);
+    let detail = bad_request(&out);
+    assert!(detail.contains("no jobs"), "{detail}");
 }
