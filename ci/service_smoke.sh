@@ -2,7 +2,10 @@
 # End-to-end service smoke for CI (also runnable locally):
 #   1. start `moldable-svc` in the background on one ephemeral port with
 #      two workers,
-#   2. hit /healthz,
+#   2. hit /healthz; POST a body nested 100,000 levels deep and assert a
+#      400 `bad-request`, then that the same process still answers
+#      /healthz (such a body used to overflow a worker's stack and abort
+#      the service),
 #   3. POST a generated instance to /v1/solve and assert the answer
 #      equals CLI `solve` on the same instance as a whole body — once in
 #      the v1 shape, once requesting wire-format v2 placement rows (which
@@ -50,6 +53,25 @@ echo "service listening on $ADDR"
 
 curl -fsS "http://$ADDR/healthz"
 echo
+
+python3 - "$ADDR" <<'EOF'
+import json, urllib.error, urllib.request
+addr = __import__("sys").argv[1]
+body = b'{"instance":' + b"[" * 100000
+req = urllib.request.Request(f"http://{addr}/v1/solve", data=body, method="POST")
+try:
+    urllib.request.urlopen(req, timeout=60)
+    raise SystemExit("a body nested 100,000 levels deep was accepted")
+except urllib.error.HTTPError as e:
+    assert e.code == 400, f"expected 400, got {e.code}"
+    envelope = json.loads(e.read())["error"]
+    assert envelope["kind"] == "bad-request", envelope
+    assert "recursion limit exceeded" in envelope["detail"], envelope
+with urllib.request.urlopen(f"http://{addr}/healthz", timeout=10) as resp:
+    assert resp.status == 200, f"/healthz answered {resp.status}"
+print("deep nesting ok: 400 bad-request, then /healthz 200")
+EOF
+kill -0 "$SVC_PID" || { echo "service died on a deeply nested body"; exit 1; }
 
 $BIN/moldable solve --input /tmp/svc_inst.json --algo linear --eps 1/4 > /tmp/cli_solve.json
 python3 ci/solve_parity.py "$ADDR" /tmp/svc_inst.json /tmp/cli_solve.json --algo linear --eps 1/4

@@ -92,18 +92,24 @@ impl std::error::Error for SpecError {}
 impl CurveSpec {
     /// Validate and instantiate the curve.
     pub fn build(&self) -> Result<SpeedupCurve, SpecError> {
+        self.clone().into_curve()
+    }
+
+    /// Validate and instantiate the curve, moving a table's or a
+    /// staircase's vector into it instead of copying it.
+    pub fn into_curve(self) -> Result<SpeedupCurve, SpecError> {
         match self {
             CurveSpec::Constant(t) => {
-                if *t == 0 {
+                if t == 0 {
                     return Err(SpecError::ZeroTime);
                 }
-                Ok(SpeedupCurve::Constant(*t))
+                Ok(SpeedupCurve::Constant(t))
             }
             CurveSpec::AffineDecreasing { base } => {
-                if *base == 0 {
+                if base == 0 {
                     return Err(SpecError::ZeroTime);
                 }
-                Ok(SpeedupCurve::AffineDecreasing { base: *base })
+                Ok(SpeedupCurve::AffineDecreasing { base })
             }
             CurveSpec::Table(t) => {
                 if t.is_empty() {
@@ -125,16 +131,16 @@ impl CurveSpec {
                         ));
                     }
                 }
-                Ok(SpeedupCurve::Table(Arc::new(t.clone())))
+                Ok(SpeedupCurve::Table(Arc::new(t)))
             }
-            CurveSpec::Staircase(steps) => Staircase::new(steps.clone())
+            CurveSpec::Staircase(steps) => Staircase::new(steps)
                 .map(|s| SpeedupCurve::Staircase(Arc::new(s)))
                 .map_err(SpecError::Staircase),
             CurveSpec::IdealWithOverhead { t1, c, cap } => {
-                if *t1 == 0 {
+                if t1 == 0 {
                     return Err(SpecError::ZeroTime);
                 }
-                Ok(SpeedupCurve::ideal_with_overhead(*t1, *c, *cap))
+                Ok(SpeedupCurve::ideal_with_overhead(t1, c, cap))
             }
         }
     }
@@ -174,6 +180,12 @@ impl InstanceSpec {
     /// Validate and build the instance. An instance needs a machine and
     /// a job: the solvers assume both.
     pub fn build(&self) -> Result<Instance, SpecError> {
+        self.clone().into_instance()
+    }
+
+    /// [`InstanceSpec::build`], moving each curve's vector into the
+    /// instance instead of copying it.
+    pub fn into_instance(self) -> Result<Instance, SpecError> {
         if self.m == 0 {
             return Err(SpecError::ZeroMachines);
         }
@@ -182,8 +194,8 @@ impl InstanceSpec {
         }
         let curves = self
             .jobs
-            .iter()
-            .map(|s| s.build())
+            .into_iter()
+            .map(CurveSpec::into_curve)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Instance::new(curves, self.m))
     }

@@ -5,10 +5,12 @@
 //! `/v1/race` bodies) accept the same request shape and emit the same
 //! response shape; this module is the single place both are defined.
 //! [`solve`] holds the request side ([`SolveRequest`], parsed
-//! identically from argv, an owned JSON tree, and the zero-copy
-//! borrowed tree), [`tenant`] the multi-tenant grammar (`tenant` blocks
-//! and `quotas` rule sets), and [`error`] the typed failure envelope
-//! every front end renders.
+//! identically from argv and from a JSON tree, and whole bodies through
+//! [`parse_solve_body`]), [`typed`] the one-pass reader that takes a
+//! body or an instance file straight to an
+//! [`Instance`](moldable_core::instance::Instance), [`tenant`] the
+//! multi-tenant grammar (`tenant` blocks and `quotas` rule sets), and
+//! [`error`] the typed failure envelope every front end renders.
 //!
 //! Responses carry a `"schema"` field naming their version; versions
 //! are strictly additive, so a vN reader can parse a vN+1 body by
@@ -20,75 +22,11 @@
 pub mod error;
 pub mod solve;
 pub mod tenant;
+pub mod typed;
 
 pub use error::{ErrorKind, Failure};
 pub use solve::{parse_solve_body, parse_solve_body_tree, SolveRequest};
 pub use tenant::{quotas_from_str, DEFAULT_WINDOW};
-
-use serde_json::borrow::BorrowedValue;
-use serde_json::{Number, Value};
-
-/// The minimal read surface the generic request walks need, implemented
-/// by both JSON trees, so the owned-tree and zero-copy parsers share one
-/// walk — same fields, same defaults, same error texts by construction.
-/// Lookups are first-match like both trees' own `get`.
-pub(crate) trait JsonView {
-    fn get_field(&self, key: &str) -> Option<&Self>;
-    fn str_value(&self) -> Option<&str>;
-    fn bool_value(&self) -> Option<bool>;
-    fn number_value(&self) -> Option<&Number>;
-    fn array_len(&self) -> Option<usize>;
-    fn array_item(&self, i: usize) -> &Self;
-    fn is_object(&self) -> bool;
-}
-
-impl JsonView for Value {
-    fn get_field(&self, key: &str) -> Option<&Self> {
-        self.get(key)
-    }
-    fn str_value(&self) -> Option<&str> {
-        self.as_str()
-    }
-    fn bool_value(&self) -> Option<bool> {
-        self.as_bool()
-    }
-    fn number_value(&self) -> Option<&Number> {
-        self.as_number()
-    }
-    fn array_len(&self) -> Option<usize> {
-        self.as_array().map(Vec::len)
-    }
-    fn array_item(&self, i: usize) -> &Self {
-        &self.as_array().expect("checked by array_len")[i]
-    }
-    fn is_object(&self) -> bool {
-        self.as_object().is_some()
-    }
-}
-
-impl JsonView for BorrowedValue<'_> {
-    fn get_field(&self, key: &str) -> Option<&Self> {
-        self.get(key)
-    }
-    fn str_value(&self) -> Option<&str> {
-        self.as_str()
-    }
-    fn bool_value(&self) -> Option<bool> {
-        self.as_bool()
-    }
-    fn number_value(&self) -> Option<&Number> {
-        self.as_number()
-    }
-    fn array_len(&self) -> Option<usize> {
-        self.as_array().map(<[_]>::len)
-    }
-    fn array_item(&self, i: usize) -> &Self {
-        &self.as_array().expect("checked by array_len")[i]
-    }
-    fn is_object(&self) -> bool {
-        self.as_object().is_some()
-    }
-}
 
 /// Wire-format v1: the original solve response — `algo`, `eps`,
 /// `makespan`, `lower_bound`, `ratio_bound`, `n`, `m`, and the

@@ -1,4 +1,5 @@
-//! The shared solve-request shape: one struct, three parsers.
+//! The shared solve-request shape: one struct, read from argv, from a
+//! JSON tree, and in one typed pass from body bytes.
 //!
 //! The CLI (`solve`/`race` flags) and the HTTP service (`/v1/solve`/
 //! `/v1/race` JSON bodies) accept the same knobs — solver name,
@@ -11,28 +12,27 @@
 //! identical struct (the unit tests pin them field for field), so the
 //! front ends can never drift apart.
 //!
-//! The service hot path adds a third parser: [`parse_solve_body`] reads
-//! the whole `{"instance": …, "algo"?, "eps"?, "placements"?,
-//! "topology"?, "policy"?, "tenant"?, "quotas"?}` body
-//! through the serde_json shim's zero-copy [`BorrowedValue`] tree —
-//! string keys and values stay borrowed from the request buffer, and the
-//! `InstanceSpec`/`CurveSpec` shapes are mirrored by hand instead of
-//! materializing an owned `Value` tree. [`parse_solve_body_tree`] is the
-//! same pipeline over the original tree parser; it is kept as the
-//! equivalence oracle (`tests/proptest_zerocopy.rs` pins the two to
-//! byte-identical `Result`s on arbitrary bodies), never as a fallback.
+//! A whole `{"instance": …, "algo"?, "eps"?, "placements"?,
+//! "topology"?, "policy"?, "tenant"?, "quotas"?}` body is read by
+//! [`parse_solve_body`]: the [`typed`] pass reads
+//! the instance's numbers straight into its curves and hands the knobs
+//! to [`SolveRequest::from_json`]. [`parse_solve_body_tree`] is the same
+//! pipeline over the tree parser and the derived `InstanceSpec`
+//! deserializer. It names every error: the typed pass only ever
+//! accepts, and a body it refuses goes to the tree
+//! (`tests/proptest_zerocopy.rs` pins the two to byte-identical
+//! `Result`s on arbitrary bodies).
 
 use crate::app::parse_eps;
 use crate::wire::tenant::{quotas_from, quotas_from_str, tenant_from};
-use crate::wire::JsonView;
+use crate::wire::typed;
 use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
-use moldable_core::io::{CurveSpec, InstanceSpec};
+use moldable_core::io::InstanceSpec;
 use moldable_core::ratio::Ratio;
 use moldable_sched::policy::PlacementPolicy;
 use moldable_sched::quotas::{QuotaSet, Tenant};
 use serde::Deserialize;
-use serde_json::borrow::{from_str_borrowed, BorrowedValue};
 use serde_json::Value;
 
 /// What a solve-shaped request asks for, front-end independent.
@@ -77,17 +77,6 @@ impl SolveRequest {
     /// Read the shared fields from a parsed JSON request body. Unknown
     /// fields are ignored (the instance itself is parsed separately).
     pub fn from_json(request: &Value, default_eps: &Ratio) -> Result<SolveRequest, String> {
-        knobs_from(request, default_eps)
-    }
-
-    /// Read the shared fields from a zero-copy parsed body — the
-    /// borrowed twin of [`SolveRequest::from_json`], through the same
-    /// walk, so field names, defaults, and error texts agree by
-    /// construction.
-    pub fn from_borrowed(
-        request: &BorrowedValue<'_>,
-        default_eps: &Ratio,
-    ) -> Result<SolveRequest, String> {
         knobs_from(request, default_eps)
     }
 
@@ -199,11 +188,9 @@ fn check_quotas(quotas: QuotaSet, tenant: Option<&Tenant>) -> Result<QuotaSet, S
     Ok(quotas)
 }
 
-/// The request-knob walk behind [`SolveRequest::from_json`] and
-/// [`SolveRequest::from_borrowed`], generic over the JSON tree. Knobs
-/// are read in a fixed order, so the first bad one names the error on
-/// both trees.
-fn knobs_from<V: JsonView>(request: &V, default_eps: &Ratio) -> Result<SolveRequest, String> {
+/// The request-knob walk behind [`SolveRequest::from_json`]. Knobs are
+/// read in a fixed order, so the first bad one names the error.
+fn knobs_from(request: &Value, default_eps: &Ratio) -> Result<SolveRequest, String> {
     let algo = str_knob(request, "algo", "`algo` must be a string")?
         .unwrap_or("linear")
         .to_string();
@@ -211,10 +198,10 @@ fn knobs_from<V: JsonView>(request: &V, default_eps: &Ratio) -> Result<SolveRequ
         None => *default_eps,
         Some(raw) => parse_eps(raw)?,
     };
-    let placements = match request.get_field("placements") {
+    let placements = match request.get("placements") {
         None => false,
         Some(v) => v
-            .bool_value()
+            .as_bool()
             .ok_or_else(|| "`placements` must be a boolean".to_string())?,
     };
     let topology = str_knob(request, "topology", TOPOLOGY_TYPE_ERROR)?
@@ -224,9 +211,9 @@ fn knobs_from<V: JsonView>(request: &V, default_eps: &Ratio) -> Result<SolveRequ
         None => PlacementPolicy::Contiguous,
         Some(raw) => parse_policy(raw, topology.as_ref())?,
     };
-    let tenant = request.get_field("tenant").map(tenant_from).transpose()?;
+    let tenant = request.get("tenant").map(tenant_from).transpose()?;
     let quotas = request
-        .get_field("quotas")
+        .get("quotas")
         .map(|v| check_quotas(quotas_from(v)?, tenant.as_ref()))
         .transpose()?;
     Ok(SolveRequest {
@@ -241,47 +228,40 @@ fn knobs_from<V: JsonView>(request: &V, default_eps: &Ratio) -> Result<SolveRequ
 }
 
 /// A string-valued knob: `None` when absent, `error` when not a string.
-fn str_knob<'a, V: JsonView>(
-    request: &'a V,
-    key: &str,
-    error: &str,
-) -> Result<Option<&'a str>, String> {
+fn str_knob<'a>(request: &'a Value, key: &str, error: &str) -> Result<Option<&'a str>, String> {
     request
-        .get_field(key)
-        .map(|v| v.str_value().ok_or_else(|| error.to_string()))
+        .get(key)
+        .map(|v| v.as_str().ok_or_else(|| error.to_string()))
         .transpose()
 }
 
-/// Parse a complete `/v1/solve`-shaped body on the zero-copy path:
-/// UTF-8 check, borrowed JSON tree, hand-mirrored `InstanceSpec`, then
-/// [`SolveRequest::from_borrowed`] — no owned `Value` tree anywhere.
+/// Parse a complete `/v1/solve`-shaped body: the UTF-8 check, then the
+/// [`typed`] pass straight into the instance's
+/// curves, with the knobs read through [`SolveRequest::from_json`].
 ///
-/// Error strings are byte-identical to [`parse_solve_body_tree`]'s (the
-/// proptest oracle compares the full `Result`), and the stage order
-/// matches too: body syntax, `instance` presence, instance validity,
-/// the request knobs, then the topology-vs-`m` cross-check.
+/// A body the typed pass refuses goes to [`parse_solve_body_tree`],
+/// which names the error, so error strings are the tree's byte for
+/// byte, in its stage order: body syntax, `instance` presence,
+/// instance validity, the request knobs, then the topology-vs-`m`
+/// cross-check.
 pub fn parse_solve_body(
     body: &[u8],
     default_eps: &Ratio,
 ) -> Result<(SolveRequest, Instance), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let root = from_str_borrowed(text).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let spec_value = root
-        .get("instance")
-        .ok_or_else(|| "missing `instance`".to_string())?;
-    let instance = spec_from_borrowed(spec_value)
-        .and_then(|spec| spec.build().map_err(|e| e.to_string()))
-        .map_err(|e| format!("invalid `instance`: {e}"))?;
-    let request = SolveRequest::from_borrowed(&root, default_eps)?;
-    request.check_topology(instance.m())?;
-    Ok((request, instance))
+    match std::str::from_utf8(body)
+        .ok()
+        .and_then(|text| typed::solve_body(text, default_eps))
+    {
+        Some(parsed) => Ok(parsed),
+        None => parse_solve_body_tree(body, default_eps),
+    }
 }
 
 /// The tree-parser twin of [`parse_solve_body`]: same body grammar, same
 /// stage order, same error strings, but through `serde_json::from_str`
-/// and the derived `InstanceSpec` deserializer. This is the equivalence
-/// oracle the zero-copy path is tested against — it must stay the
-/// straightforward spelling.
+/// and the derived `InstanceSpec` deserializer. It names the error of
+/// every body the typed pass refuses, and is the oracle the typed pass
+/// is tested against — it must stay the straightforward spelling.
 pub fn parse_solve_body_tree(
     body: &[u8],
     default_eps: &Ratio,
@@ -294,151 +274,11 @@ pub fn parse_solve_body_tree(
         .ok_or_else(|| "missing `instance`".to_string())?;
     let instance = InstanceSpec::from_value(spec_value)
         .map_err(|e| e.to_string())
-        .and_then(|spec| spec.build().map_err(|e| e.to_string()))
+        .and_then(|spec| spec.into_instance().map_err(|e| e.to_string()))
         .map_err(|e| format!("invalid `instance`: {e}"))?;
     let request = SolveRequest::from_json(&root, default_eps)?;
     request.check_topology(instance.m())?;
     Ok((request, instance))
-}
-
-/// `u64` from a borrowed value, mirroring the serde shim's integer
-/// deserializer (same `Number` coercions, same error text). The direct
-/// match is the walk's hottest instruction path — every table entry and
-/// staircase coordinate lands here — so the layered coercion chain
-/// (negative integers, integral floats, and both error shapes) is kept
-/// out of line.
-#[inline]
-fn u64_from_borrowed(v: &BorrowedValue<'_>) -> Result<u64, String> {
-    if let BorrowedValue::Number(serde_json::Number::U(n)) = v {
-        if let Ok(u) = u64::try_from(*n) {
-            return Ok(u);
-        }
-    }
-    u64_from_borrowed_slow(v)
-}
-
-/// The coercion-and-error tail of [`u64_from_borrowed`].
-fn u64_from_borrowed_slow(v: &BorrowedValue<'_>) -> Result<u64, String> {
-    let n = v
-        .as_number()
-        .and_then(serde_json::Number::as_u128)
-        .ok_or_else(|| format!("expected u64, found {}", v.kind()))?;
-    u64::try_from(n).map_err(|_| format!("{n} out of range for u64"))
-}
-
-/// Object-field lookup mirroring `serde::de_field`: first match wins,
-/// element errors are wrapped with the field name, absence is reported
-/// as a missing field (no `Option` fields exist in these shapes).
-fn field_from_borrowed<'a, 'b>(
-    fields: &'a [(std::borrow::Cow<'b, str>, BorrowedValue<'b>)],
-    key: &str,
-) -> Result<&'a BorrowedValue<'b>, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// `InstanceSpec` from a borrowed value — the hand-written mirror of the
-/// derived deserializer (struct with `m` and `jobs`, unknown fields
-/// ignored, duplicate keys resolved first-wins).
-fn spec_from_borrowed(v: &BorrowedValue<'_>) -> Result<InstanceSpec, String> {
-    let fields = v.as_object().ok_or_else(|| {
-        format!(
-            "expected object for struct `InstanceSpec`, found {}",
-            v.kind()
-        )
-    })?;
-    let m = u64_from_borrowed(field_from_borrowed(fields, "m")?)
-        .map_err(|e| format!("field `m`: {e}"))?;
-    let jobs_value = field_from_borrowed(fields, "jobs")?;
-    let jobs = jobs_value
-        .as_array()
-        .ok_or_else(|| format!("expected array, found {}", jobs_value.kind()))
-        .and_then(|rows| rows.iter().map(curve_from_borrowed).collect())
-        .map_err(|e| format!("field `jobs`: {e}"))?;
-    Ok(InstanceSpec { m, jobs })
-}
-
-/// `CurveSpec` from a borrowed value — the externally-tagged enum shape
-/// (`{"constant": 9}`, `{"staircase": [[1,100],[4,80]]}`, …) with the
-/// derive's error texts.
-fn curve_from_borrowed(v: &BorrowedValue<'_>) -> Result<CurveSpec, String> {
-    if let Some(s) = v.as_str() {
-        return Err(format!("unknown variant `{s}` of `CurveSpec`"));
-    }
-    let obj = v.as_object().ok_or_else(|| {
-        format!(
-            "expected externally-tagged object for enum `CurveSpec`, found {}",
-            v.kind()
-        )
-    })?;
-    if obj.len() != 1 {
-        return Err(format!(
-            "expected single-key object for enum `CurveSpec`, found {} keys",
-            obj.len()
-        ));
-    }
-    let (tag, inner) = &obj[0];
-    match tag.as_ref() {
-        "constant" => Ok(CurveSpec::Constant(u64_from_borrowed(inner)?)),
-        "affine_decreasing" => {
-            let fields = inner.as_object().ok_or_else(|| {
-                format!(
-                    "expected object for variant `affine_decreasing` of `CurveSpec`, found {}",
-                    inner.kind()
-                )
-            })?;
-            let base = u64_from_borrowed(field_from_borrowed(fields, "base")?)
-                .map_err(|e| format!("field `base`: {e}"))?;
-            Ok(CurveSpec::AffineDecreasing { base })
-        }
-        "table" => {
-            let rows = inner
-                .as_array()
-                .ok_or_else(|| format!("expected array, found {}", inner.kind()))?;
-            let mut table = Vec::with_capacity(rows.len());
-            for row in rows {
-                table.push(u64_from_borrowed(row)?);
-            }
-            Ok(CurveSpec::Table(table))
-        }
-        "staircase" => {
-            let rows = inner
-                .as_array()
-                .ok_or_else(|| format!("expected array, found {}", inner.kind()))?;
-            let mut steps = Vec::with_capacity(rows.len());
-            for row in rows {
-                let pair = row
-                    .as_array()
-                    .ok_or_else(|| format!("expected tuple, found {}", row.kind()))?;
-                if pair.len() != 2 {
-                    return Err(format!("expected array of length 2, got {}", pair.len()));
-                }
-                steps.push((u64_from_borrowed(&pair[0])?, u64_from_borrowed(&pair[1])?));
-            }
-            Ok(CurveSpec::Staircase(steps))
-        }
-        "ideal_with_overhead" => {
-            let fields = inner.as_object().ok_or_else(|| {
-                format!(
-                    "expected object for variant `ideal_with_overhead` of `CurveSpec`, found {}",
-                    inner.kind()
-                )
-            })?;
-            let get = |key: &str| {
-                u64_from_borrowed(field_from_borrowed(fields, key)?)
-                    .map_err(|e| format!("field `{key}`: {e}"))
-            };
-            Ok(CurveSpec::IdealWithOverhead {
-                t1: get("t1")?,
-                c: get("c")?,
-                cap: get("cap")?,
-            })
-        }
-        other => Err(format!("unknown variant `{other}` of `CurveSpec`")),
-    }
 }
 
 #[cfg(test)]
@@ -641,7 +481,7 @@ mod tests {
     /// reject. `tests/proptest_zerocopy.rs` widens this to arbitrary
     /// bodies; this corpus pins the interesting shapes deterministically.
     #[test]
-    fn zerocopy_and_tree_parsers_agree() {
+    fn typed_and_tree_parsers_agree() {
         let default_eps = Ratio::new(1, 4);
         let bodies: Vec<Vec<u8>> = vec![
             // Every curve family, all knobs.

@@ -20,12 +20,11 @@
 //!
 //! Selectors are strings with `"*"` (or omission) meaning *any*; bounds
 //! are unsigned integers and each may be omitted; `window` defaults to
-//! [`DEFAULT_WINDOW`] ticks. Both shapes parse through one generic
-//! walk shared by the owned-tree and zero-copy paths, so the two body
-//! parsers cannot drift — same fields, same defaults, same error texts
-//! by construction.
+//! [`DEFAULT_WINDOW`] ticks. Both shapes are read from a [`Value`]
+//! tree: request bodies, the CLI `--quotas` flag and the service's
+//! `--quotas FILE` share one walk, so they share fields, defaults and
+//! error texts.
 
-use crate::wire::JsonView;
 use moldable_sched::quotas::{QuotaRule, QuotaSet, Tenant};
 use serde_json::{Number, Value};
 
@@ -47,28 +46,28 @@ pub fn quotas_from_str(text: &str) -> Result<QuotaSet, String> {
     quotas_from(&v)
 }
 
-/// Parse a `tenant` object from either JSON tree.
-pub(crate) fn tenant_from<V: JsonView>(v: &V) -> Result<Tenant, String> {
-    if !v.is_object() {
+/// Parse a `tenant` object.
+pub(crate) fn tenant_from(v: &Value) -> Result<Tenant, String> {
+    if v.as_object().is_none() {
         return Err(TENANT_TYPE_ERROR.to_string());
     }
-    let part = |key: &str, value: &V| -> Result<String, String> {
-        match value.str_value() {
+    let part = |key: &str, value: &Value| -> Result<String, String> {
+        match value.as_str() {
             Some(s) if !s.is_empty() && !s.contains('/') => Ok(s.to_string()),
             _ => Err(format!(
                 "`tenant.{key}` must be a non-empty string without `/`"
             )),
         }
     };
-    let user = match v.get_field("user") {
+    let user = match v.get("user") {
         None => return Err("`tenant` requires a `user` string".to_string()),
         Some(u) => part("user", u)?,
     };
-    let project = match v.get_field("project") {
+    let project = match v.get("project") {
         None => "default".to_string(),
         Some(p) => part("project", p)?,
     };
-    let class = match v.get_field("class") {
+    let class = match v.get("class") {
         None => "default".to_string(),
         Some(c) => part("class", c)?,
     };
@@ -79,41 +78,40 @@ pub(crate) fn tenant_from<V: JsonView>(v: &V) -> Result<Tenant, String> {
     })
 }
 
-/// Parse a `quotas` object from either JSON tree.
-pub(crate) fn quotas_from<V: JsonView>(v: &V) -> Result<QuotaSet, String> {
-    if !v.is_object() {
+/// Parse a `quotas` object.
+pub(crate) fn quotas_from(v: &Value) -> Result<QuotaSet, String> {
+    if v.as_object().is_none() {
         return Err(QUOTAS_TYPE_ERROR.to_string());
     }
-    let window = match v.get_field("window") {
+    let window = match v.get("window") {
         None => DEFAULT_WINDOW,
         Some(w) => w
-            .number_value()
+            .as_number()
             .and_then(Number::as_u128)
             .and_then(|n| u64::try_from(n).ok())
             .filter(|&n| n >= 1)
             .ok_or_else(|| "`quotas.window` must be an integer >= 1".to_string())?,
     };
-    let rows = v
-        .get_field("rules")
-        .ok_or_else(|| "`quotas` requires a `rules` array".to_string())?;
-    let len = rows
-        .array_len()
-        .ok_or_else(|| "`quotas.rules` must be an array".to_string())?;
-    let mut rules = Vec::with_capacity(len);
-    for i in 0..len {
-        rules.push(rule_from(rows.array_item(i), i)?);
-    }
+    let rules = v
+        .get("rules")
+        .ok_or_else(|| "`quotas` requires a `rules` array".to_string())?
+        .as_array()
+        .ok_or_else(|| "`quotas.rules` must be an array".to_string())?
+        .iter()
+        .enumerate()
+        .map(|(i, row)| rule_from(row, i))
+        .collect::<Result<_, _>>()?;
     Ok(QuotaSet { window, rules })
 }
 
-fn rule_from<V: JsonView>(v: &V, i: usize) -> Result<QuotaRule, String> {
-    if !v.is_object() {
+fn rule_from(v: &Value, i: usize) -> Result<QuotaRule, String> {
+    if v.as_object().is_none() {
         return Err(format!("`quotas.rules[{i}]` must be an object"));
     }
     let selector = |key: &str| -> Result<Option<String>, String> {
-        match v.get_field(key) {
+        match v.get(key) {
             None => Ok(None),
-            Some(s) => match s.str_value() {
+            Some(s) => match s.as_str() {
                 Some("*") => Ok(None),
                 Some(x) if !x.is_empty() => Ok(Some(x.to_string())),
                 _ => Err(format!(
@@ -123,10 +121,10 @@ fn rule_from<V: JsonView>(v: &V, i: usize) -> Result<QuotaRule, String> {
         }
     };
     let bound = |key: &str| -> Result<Option<u128>, String> {
-        match v.get_field(key) {
+        match v.get(key) {
             None => Ok(None),
             Some(b) => b
-                .number_value()
+                .as_number()
                 .and_then(Number::as_u128)
                 .map(Some)
                 .ok_or_else(|| {
@@ -156,35 +154,23 @@ fn rule_from<V: JsonView>(v: &V, i: usize) -> Result<QuotaRule, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::borrow::from_str_borrowed;
 
-    /// Parse the same text through both trees and require identical
-    /// `Result`s — the zero-copy contract, at the field level.
-    fn both_tenant(text: &str) -> Result<Tenant, String> {
-        let owned: Value = serde_json::from_str(text).unwrap();
-        let borrowed = from_str_borrowed(text).unwrap();
-        let a = tenant_from(&owned);
-        let b = tenant_from(&borrowed);
-        assert_eq!(a, b, "{text}");
-        a
+    fn tenant_of(text: &str) -> Result<Tenant, String> {
+        tenant_from(&serde_json::from_str::<Value>(text).unwrap())
     }
 
+    /// The tree walk and the text entry point give identical `Result`s.
     fn both_quotas(text: &str) -> Result<QuotaSet, String> {
-        let owned: Value = serde_json::from_str(text).unwrap();
-        let borrowed = from_str_borrowed(text).unwrap();
-        let a = quotas_from(&owned);
-        let b = quotas_from(&borrowed);
-        assert_eq!(a, b, "{text}");
+        let a = quotas_from(&serde_json::from_str::<Value>(text).unwrap());
         assert_eq!(quotas_from_str(text), a, "{text}");
         a
     }
 
     #[test]
     fn tenant_defaults_mirror_the_cli_grammar() {
-        let t = both_tenant(r#"{"user": "alice"}"#).unwrap();
+        let t = tenant_of(r#"{"user": "alice"}"#).unwrap();
         assert_eq!(t, Tenant::parse("alice").unwrap());
-        let t =
-            both_tenant(r#"{"user": "alice", "project": "phys", "class": "batch"}"#).unwrap();
+        let t = tenant_of(r#"{"user": "alice", "project": "phys", "class": "batch"}"#).unwrap();
         assert_eq!(t, Tenant::parse("alice/phys/batch").unwrap());
     }
 
@@ -204,7 +190,7 @@ mod tests {
             ),
             (r#"{"user": "a", "class": null}"#, "`tenant.class`"),
         ] {
-            let err = both_tenant(text).unwrap_err();
+            let err = tenant_of(text).unwrap_err();
             assert!(err.contains(needle), "{text} -> {err}");
         }
     }

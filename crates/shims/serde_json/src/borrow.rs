@@ -4,19 +4,19 @@
 //! [`from_slice`] parses the same JSON grammar as [`crate::from_str`]
 //! but produces a [`BorrowedValue`] instead of an owned
 //! [`Value`] tree: object keys and string values are
-//! `&str` slices *borrowed from the request buffer* whenever the string
-//! contains no escape sequence (the overwhelmingly common case on the
-//! service hot path), so a typical parse performs **zero** per-string
-//! allocations — only the array/object spines are heap-allocated.
-//! Strings that do contain escapes are decoded into a `Cow::Owned`
-//! exactly the way the tree parser decodes them.
+//! `&str` slices *borrowed from the input* whenever the string
+//! contains no escape sequence, so a typical parse performs **zero**
+//! per-string allocations — only the array/object spines are
+//! heap-allocated. Strings that do contain escapes are decoded into a
+//! `Cow::Owned` exactly the way the tree parser decodes them, and
+//! nesting stops at the tree parser's limit with its error text.
 //!
-//! The tree parser stays the semantic oracle: `tests/proptest_zerocopy.rs`
-//! (root package) pins `from_slice(b).map(to_value) ≡ from_str(b)` on
-//! arbitrary valid *and* invalid inputs. Anything this module accepts,
-//! rejects, or decodes differently from `parse.rs` is a bug there, not a
-//! feature here.
+//! The tree parser stays the semantic oracle: this module's tests pin
+//! `from_slice(b).map(to_value) ≡ from_str(b)` on a corpus of valid
+//! and invalid inputs. Anything this module accepts, rejects, or
+//! decodes differently from `parse.rs` is a bug here.
 
+use crate::parse::{DEPTH_ERROR, MAX_DEPTH};
 use serde::{Error, Number, Value};
 use std::borrow::Cow;
 
@@ -158,6 +158,7 @@ pub fn from_str_borrowed(text: &str) -> Result<BorrowedValue<'_>, Error> {
     let mut p = Parser {
         text,
         pos: 0,
+        depth: 0,
         scratch: Vec::new(),
     };
     p.skip_ws();
@@ -172,6 +173,8 @@ pub fn from_str_borrowed(text: &str) -> Result<BorrowedValue<'_>, Error> {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Containers open around `pos`, capped at the tree parser's limit.
+    depth: usize,
     /// Shared element stack for in-flight arrays: each array parses its
     /// elements onto the tail, then splits them off into an exact-size
     /// `Vec`. One scratch allocation amortizes across every array in the
@@ -232,14 +235,29 @@ impl<'a> Parser<'a> {
             return self.number_raw().map(BorrowedValue::Number);
         }
         match c {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(BorrowedValue::String(self.string()?)),
             b't' => self.keyword("true", BorrowedValue::Bool(true)),
             b'f' => self.keyword("false", BorrowedValue::Bool(false)),
             b'n' => self.keyword("null", BorrowedValue::Null),
             _ => Err(self.error("unexpected character")),
         }
+    }
+
+    /// Read an object or array one level deeper, refusing nesting past
+    /// the tree parser's limit at the same byte, with the same text.
+    fn nested(
+        &mut self,
+        read: fn(&mut Self) -> Result<BorrowedValue<'a>, Error>,
+    ) -> Result<BorrowedValue<'a>, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(DEPTH_ERROR));
+        }
+        self.depth += 1;
+        let value = read(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(

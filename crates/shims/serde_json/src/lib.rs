@@ -5,9 +5,11 @@
 //! [`to_string_pretty`], [`from_str`], [`to_value`], the [`json!`] macro,
 //! and [`Value`] itself (re-exported from the `serde` shim, where it lives
 //! so the derive macros can target it without a circular dependency).
-//! The [`borrow`] module adds the zero-copy parser ([`from_slice`] →
-//! [`BorrowedValue`]) the service hot path uses; the tree parser remains
-//! its semantic oracle.
+//! [`Reader`] is the tree parser's cursor as a pull reader, for callers
+//! that read a known shape straight into their own types; the [`borrow`]
+//! module adds a zero-copy parser ([`from_slice`] → [`BorrowedValue`]).
+//! All three share one grammar, and refuse nesting deeper than 128
+//! arrays or objects with `recursion limit exceeded at byte N`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,6 +21,7 @@ mod parse;
 mod print;
 
 pub use borrow::{from_slice, BorrowedValue};
+pub use parse::Reader;
 
 /// Render any serializable value into a [`Value`] tree.
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {

@@ -130,8 +130,13 @@ fn has_flag(args: &[String], name: &str) -> bool {
 fn load_instance(args: &[String]) -> Result<Instance, String> {
     let path = flag(args, "--input").ok_or("missing --input FILE")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    // One typed pass into the curves; the tree reads a file it refuses
+    // again, to name the error.
+    if let Some(inst) = moldable::svc::wire::typed::instance(&text) {
+        return Ok(inst);
+    }
     let spec: InstanceSpec = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    spec.build().map_err(|e| e.to_string())
+    spec.into_instance().map_err(|e| e.to_string())
 }
 
 /// `--eps` flag through the service's shared `(0, 1]` fraction grammar

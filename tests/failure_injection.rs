@@ -10,6 +10,9 @@
 //! * The profit-scaling knapsack FPTAS — the alternative the paper rejects
 //!   in Section 4.2 — demonstrably loses more schedule work than the
 //!   compressible-knapsack approach tolerates.
+//! * JSON nested past the parsers' depth limit is a `bad-request`, on the
+//!   service (which keeps serving) and in the CLI — not a stack overflow
+//!   that aborts the process.
 
 use moldable::core::io::{CurveSpec, InstanceSpec, SpecError};
 use moldable::core::monotone::{verify_monotone, MonotoneViolation};
@@ -277,4 +280,80 @@ fn profit_fptas_loses_work_the_compressible_solver_preserves() {
     assert!(approx.profit >= 2000);
     let exact = moldable::knapsack::dp::solve(&items, cap);
     assert_eq!(exact.profit, 4000);
+}
+
+/// Before the depth limit, one POST of 10,000 `[` overflowed a worker's
+/// stack and aborted the whole service. Now both deep bodies get a 400,
+/// and the same server still answers `/healthz` and a valid solve.
+#[test]
+fn deeply_nested_bodies_get_a_400_and_the_server_keeps_serving() {
+    use moldable::svc::http::{read_response, write_request, Response};
+    use moldable::svc::{Server, ServerConfig};
+    use std::io::BufReader;
+    use std::net::TcpStream;
+
+    let server = Server::bind(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("binding an ephemeral port");
+    let addr = server.local_addr();
+    let send = |method: &str, path: &str, body: &[u8]| -> Response {
+        let stream = TcpStream::connect(addr).expect("connecting to the test server");
+        let mut writer = stream.try_clone().expect("cloning the stream");
+        write_request(&mut writer, method, path, body).expect("request written");
+        read_response(&mut BufReader::new(stream)).expect("response read")
+    };
+    for depth in [10_000, 100_000] {
+        let body = format!("{{\"instance\":{}", "[".repeat(depth));
+        let resp = send("POST", "/v1/solve", body.as_bytes());
+        assert_eq!(resp.status, 400, "depth {depth}");
+        let envelope: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        assert_eq!(envelope["error"]["kind"].as_str(), Some("bad-request"));
+        assert!(
+            envelope["error"]["detail"]
+                .as_str()
+                .unwrap()
+                .contains("recursion limit exceeded at byte 139"),
+            "{envelope:?}"
+        );
+    }
+    assert_eq!(send("GET", "/healthz", b"").status, 200);
+    let solve = send(
+        "POST",
+        "/v1/solve",
+        br#"{"instance": {"m": 4, "jobs": [{"constant": 5}]}}"#,
+    );
+    assert_eq!(
+        solve.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&solve.body)
+    );
+    server.shutdown();
+}
+
+/// An instance file of 200,000 `[` used to overflow the CLI's stack
+/// (exit 134); it is now refused like any malformed file.
+#[test]
+fn deeply_nested_instance_file_exits_1_with_bad_request() {
+    let input = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep_instance.json");
+    std::fs::write(&input, "[".repeat(200_000)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_moldable"))
+        .args(["estimate", "--input", input.to_str().unwrap()])
+        .output()
+        .expect("the moldable binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let envelope: serde_json::Value =
+        serde_json::from_str(&stderr).expect("a typed error envelope");
+    assert_eq!(envelope["error"]["kind"].as_str(), Some("bad-request"));
+    assert!(
+        envelope["error"]["detail"]
+            .as_str()
+            .unwrap()
+            .ends_with("recursion limit exceeded at byte 128"),
+        "{envelope:?}"
+    );
 }

@@ -1,14 +1,16 @@
-//! Property test: the zero-copy `/v1/solve` body parser and the
-//! tree-building oracle are *extensionally equal* — on any byte string,
-//! valid or not, they return the same parsed request (algo, ε,
-//! placements flag, instance semantics) or the same error text. The
-//! service serves the zero-copy path; this is the guarantee that lets
-//! it.
+//! Property test: the `/v1/solve` body parser the service runs (one
+//! typed pass into the instance's curves, with the tree naming every
+//! error) and the tree-building oracle are *extensionally equal* — on
+//! any byte string, valid or not, they return the same parsed request
+//! (algo, ε, placements flag, instance semantics) or the same error
+//! text. This is the guarantee that lets the service run the typed
+//! pass.
 
 use moldable::core::io::InstanceSpec;
 use moldable::prelude::*;
 use moldable::svc::wire::{parse_solve_body, parse_solve_body_tree};
 use proptest::prelude::*;
+use serde_json::json;
 
 /// Compare both parsers on one body: full `Result` agreement, with
 /// instances compared through their canonical spec serialization.
@@ -118,6 +120,29 @@ fn body_json() -> impl Strategy<Value = String> {
         })
 }
 
+/// A body shaped like the `svc-cold` workload's: a generated mixed
+/// instance on m = 1024 (many-step staircases, tables, closed forms)
+/// with every knob that workload sends, compact or pretty-printed.
+fn cold_body_json() -> impl Strategy<Value = String> {
+    (0u64..1 << 32, 1usize..24, 0usize..2).prop_map(|(seed, n, pretty)| {
+        let inst = bench_instance(BenchFamily::Mixed, n, 1024, seed);
+        let spec = InstanceSpec::from_instance(&inst).expect("generated curves serialize");
+        let body = json!({
+            "instance": serde_json::to_value(&spec),
+            "algo": "linear",
+            "eps": "1/4",
+            "topology": "32*2*16",
+            "policy": "packed:node",
+            "tenant": json!({"user": "u3"}),
+        });
+        if pretty == 1 {
+            serde_json::to_string_pretty(&body).unwrap()
+        } else {
+            serde_json::to_string(&body).unwrap()
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -156,5 +181,81 @@ proptest! {
         bytes in prop::collection::vec(0u8..=255, 0..160),
     ) {
         assert_parsers_agree(&bytes);
+    }
+
+    /// `svc-cold`-shaped bodies, whole and with one byte truncated,
+    /// inserted or flipped: the staircase pairs are where the typed
+    /// pass reads most of a body.
+    #[test]
+    fn zerocopy_matches_tree_on_cold_shaped_bodies(
+        body in cold_body_json(),
+        at in 0usize..1 << 20,
+        byte in 0u8..=255,
+        op in 0usize..4,
+    ) {
+        assert_parsers_agree(body.as_bytes());
+        let mut bytes = body.into_bytes();
+        let at = at % (bytes.len() + 1);
+        match op {
+            0 => bytes.truncate(at),
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => bytes[at] = byte,
+            _ => {}
+        }
+        assert_parsers_agree(&bytes);
+    }
+}
+
+/// Corners of the grammar the typed pass must read as the tree does.
+#[test]
+fn zerocopy_matches_tree_on_a_grammar_corpus() {
+    let inst = r#"{"m": 4, "jobs": [{"staircase": [[1, 90], [2, 60]]}]}"#;
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let bodies = [
+        // Escaped keys decode before they are matched.
+        format!(r#"{{"\u0069nstance": {inst}}}"#),
+        format!(r#"{{"instance": {inst}, "\u0074enant": {{"\u0075ser": "alice"}}}}"#),
+        r#"{"instance": {"\u006d": 4, "j\u006fbs": [{"t\u0061ble": [5, 4]}]}}"#.to_string(),
+        // Duplicate keys: the first counts, later ones must still parse.
+        format!(r#"{{"instance": {inst}, "instance": {{"m": 0, "jobs": []}}}}"#),
+        format!(r#"{{"instance": {{"m": 0, "jobs": []}}, "instance": {inst}}}"#),
+        format!(r#"{{"instance": {inst}, "instance": [1, }}"#),
+        format!(r#"{{"instance": {inst}, "instance": {{"m": 8, "jobs": [{{"constant": 5}}]}}}}"#),
+        r#"{"instance": {"m": 4, "m": 8, "jobs": [{"constant": 5}], "jobs": [{"constant": 6}]}}"#
+            .to_string(),
+        r#"{"instance": {"m": 4, "m": "four", "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": "four", "m": 4, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"constant": 5}], "jobs": null}}"#.to_string(),
+        r#"{"instance": {"m": 4, "jobs": 7, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"constant": 5, "constant": 6}]}}"#.to_string(),
+        // Unknown fields inside the instance and inside curve objects.
+        r#"{"instance": {"m": 4, "x": {"y": [1, "z"]}, "jobs": [{"constant": 5}]}}"#
+            .to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"affine_decreasing": {"x": [], "base": 9}}]}}"#
+            .to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"ideal_with_overhead": {"t1": 90, "c": 1, "cap": 4, "t2": 0}}]}}"#
+            .to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"constant": 5, "note": "x"}]}}"#.to_string(),
+        // Number forms.
+        r#"{"instance": {"m": 18446744073709551615, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": 18446744073709551616, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": 99999999999999999999, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"constant": 18446744073709551621}]}}"#.to_string(),
+        r#"{"instance": {"m": 5.0, "jobs": [{"constant": 5.0}]}}"#.to_string(),
+        r#"{"instance": {"m": 5.5, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": -0, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": 4, "jobs": [{"constant": -0}]}}"#.to_string(),
+        r#"{"instance": {"m": 0004, "jobs": [{"table": [009, 08, 1e0]}]}}"#.to_string(),
+        r#"{"instance": {"m": -4, "jobs": [{"constant": 5}]}}"#.to_string(),
+        r#"{"instance": {"m": .4e1, "jobs": [{"constant": 5}]}}"#.to_string(),
+        // Nesting at the limit and one past it, in a skipped member.
+        format!(r#"{{"instance": {inst}, "x": {}}}"#, nested(127)),
+        format!(r#"{{"instance": {inst}, "x": {}}}"#, nested(128)),
+        format!(r#"{{"instance": {{"m": 4, "x": {}, "jobs": []}}}}"#, nested(126)),
+        format!(r#"{{"instance": {{"m": 4, "x": {}, "jobs": []}}}}"#, nested(127)),
+        format!(r#"{{"instance": {}}}"#, "[".repeat(10_000)),
+    ];
+    for body in &bodies {
+        assert_parsers_agree(body.as_bytes());
     }
 }
