@@ -1,7 +1,9 @@
-//! Scaling of the streaming event-driven simulator on Lublin–Feitelson
-//! model streams: generator throughput alone, the full event loop at
-//! increasing job counts, fair-share against FIFO, a finer ε against the
-//! default, and the uncapped epoch discipline.
+//! Scaling of the streaming epoch engine on Lublin–Feitelson model
+//! streams: generator throughput alone, the whole engine at increasing
+//! job counts, fair-share against FIFO, a finer ε against the default,
+//! and the uncapped epoch discipline. The rows keep their
+//! `stream-sim/event-engine*` names, which `benches/baseline.json` and
+//! the CI gate's bars key on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::ratio::Ratio;
@@ -64,9 +66,9 @@ fn bench_stream_sim(c: &mut Criterion) {
     );
 
     // The same 8000-job stream at ε = 1/16. The CI gate holds this within
-    // 8x of the ε = 1/4 row relationally: a probe whose rounding cost
+    // 3x of the ε = 1/4 row relationally: a probe whose rounding cost
     // grows like ε⁻² fails it (a per-probe profit grid put this ratio
-    // near 35).
+    // near 35, exact-rational grids at 3.3–4.2).
     let fine = solver_by_name("linear", &Ratio::new(1, 16)).expect("registry has linear");
     group.bench_with_input(
         BenchmarkId::new("event-engine-eps16", 8_000),

@@ -1,6 +1,6 @@
 //! # moldable-sim
 //!
-//! A discrete-event cluster simulator for moldable-job schedules.
+//! A cluster simulator for moldable-job schedules and arrival streams.
 //!
 //! The scheduling algorithms in `moldable-sched` produce *plans*: per-job
 //! start times and processor counts. This crate provides the substrate the
@@ -16,11 +16,12 @@
 //!   free (the Garey–Graham discipline used by the paper's estimator);
 //! * [`stream`] — online scheduling of an arrival stream with any
 //!   offline planner, in epochs (the classic online-from-offline
-//!   scheme), as an event-driven engine: jobs consumed lazily from an
-//!   iterator, bounded pending-queue snapshots planned through the
-//!   [`MakespanSolver`] facade, per-job observations emitted
-//!   incrementally — memory `O(pending)`, not `O(stream)`, so
-//!   million-job sources and recorded (e.g. SWF) traces run alike;
+//!   scheme), as one loop: admit what has arrived, plan a bounded
+//!   pending-queue snapshot through the [`MakespanSolver`] facade, run
+//!   it to completion, repeat. Jobs are consumed lazily from an
+//!   iterator and per-job observations emitted incrementally — memory
+//!   `O(pending)`, not `O(stream)`, so million-job sources and recorded
+//!   (e.g. SWF) traces run alike;
 //! * [`metrics`] — aggregate statistics over a placement (utilization,
 //!   demand profile, work conservation) plus per-user
 //!   fairness reports (stretch and weighted flow), with online

@@ -1,5 +1,5 @@
 //! Online scheduling of arrival streams: the paper's offline planner run
-//! in epochs, as an event-driven simulation.
+//! in epochs.
 //!
 //! The paper solves the *offline* problem: all jobs known at time zero. A
 //! cluster front-end faces a stream of arrivals and periodically plans the
@@ -16,27 +16,24 @@
 //! * jobs are consumed **lazily** from an iterator (one look-ahead job is
 //!   held at a time), so a generator-backed source never materializes
 //!   the stream;
-//! * a binary-heap event loop drives three event kinds — job
-//!   **completions**, job **arrivals**, and **re-plan** triggers — over
-//!   exact rational timestamps;
 //! * each re-plan snapshots a bounded prefix of the pending queue
 //!   ([`StreamOptions::max_batch`]), plans it through any
 //!   [`MakespanSolver`] from the facade, runs it through
-//!   [`execute`], queues each job's completion at the end of its
-//!   placement row, and discards the batch's instance, view, and
-//!   execution;
+//!   [`execute`], completes each job at the end of its placement row,
+//!   advances the clock by the batch's makespan, and discards the
+//!   batch's instance, view, and execution;
 //! * per-job [`JobObservation`]s are emitted **incrementally**, in
 //!   completion-time order, to a caller-supplied sink, and fairness is
 //!   folded online through [`RunningFairness`] — nothing accumulates
 //!   with stream length. Each observation names its epoch, so a caller
 //!   that wants the per-epoch batching folds it with [`EpochTable`].
 //!
-//! Memory is `O(pending + running + #users)`: the pending queue, the
-//! in-flight batch's events, and the per-user fairness state. With an
-//! unbounded `max_batch` every re-plan takes everything that has arrived
-//! by the clock — the exact epoch discipline. `tests/stream_equivalence.rs`
-//! keeps a direct epoch loop as the oracle and pins the engine to it,
-//! completion by completion, across solvers.
+//! Memory is `O(pending + batch + #users)`: the pending queue, the
+//! running batch, and the per-user fairness state. With an unbounded
+//! `max_batch` every re-plan takes everything that has arrived by the
+//! clock — the exact epoch discipline. `tests/stream_equivalence.rs`
+//! keeps a direct epoch loop as the oracle and pins FIFO runs, capped or
+//! not, to it completion by completion, across solvers.
 
 use crate::executor::execute;
 use crate::metrics::{FairnessReport, JobObservation, RunningFairness};
@@ -44,6 +41,7 @@ use crate::SimError;
 use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
 use moldable_core::job::Job;
+use moldable_core::procset::ProcSet;
 use moldable_core::ratio::Ratio;
 use moldable_core::speedup::SpeedupCurve;
 use moldable_core::types::{JobId, Procs, Time};
@@ -52,8 +50,7 @@ use moldable_sched::fairshare::Fairshare;
 use moldable_sched::place_with;
 use moldable_sched::solver::MakespanSolver;
 use moldable_sched::PlacementPolicy;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// One job of a streaming workload: a speedup curve, an arrival time,
 /// and the submitting user (`-1` when unknown) for fairness accounting.
@@ -227,64 +224,7 @@ impl StreamFragmentation {
     }
 }
 
-/// Event ranks at equal timestamps. Completions fire first (processors
-/// and statistics settle), then arrivals (a job arriving exactly at an
-/// epoch boundary joins the next batch, as the epoch discipline asks),
-/// then the re-plan trigger.
-const RANK_DONE: u8 = 0;
-const RANK_ARRIVAL: u8 = 1;
-const RANK_REPLAN: u8 = 2;
-
-/// Everything a completion event needs to emit its observation without
-/// touching per-stream storage.
-#[derive(Clone, Debug)]
-struct DoneInfo {
-    index: u64,
-    user: i64,
-    arrival: Ratio,
-    ideal: Time,
-    weight: u128,
-    placed: Option<moldable_core::procset::ProcSet>,
-}
-
-/// A heap entry: ordered by `(at, rank, seq)`; `seq` is a monotone
-/// tiebreak so completions within one batch pop deterministically.
-#[derive(Clone, Debug)]
-struct StreamEvent {
-    at: Ratio,
-    rank: u8,
-    seq: u64,
-    done: Option<DoneInfo>,
-}
-
-impl StreamEvent {
-    fn key(&self) -> (Ratio, u8, u64) {
-        (self.at, self.rank, self.seq)
-    }
-}
-
-impl PartialEq for StreamEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for StreamEvent {}
-
-impl Ord for StreamEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap pops the maximum, we want the earliest.
-        other.key().cmp(&self.key())
-    }
-}
-
-impl PartialOrd for StreamEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Run the event-driven simulation to exhaustion.
+/// Run the epoch scheme to exhaustion.
 ///
 /// Pulls jobs lazily from `source` (must be sorted by arrival; the first
 /// out-of-order job aborts with [`SimError::UnsortedStream`]), plans
@@ -292,6 +232,10 @@ impl PartialOrd for StreamEvent {
 /// `sink(stream_index, &observation)` once per job, in completion-time
 /// order. The sink is where per-job outputs leave the engine — pass a
 /// no-op closure when only the aggregate [`StreamOutcome`] matters.
+///
+/// A job is pulled from `source` when the re-plan that admits its
+/// predecessor runs, so an out-of-order job is found at that re-plan:
+/// the sink may already hold the completions of every earlier batch.
 pub fn run_stream<I, F>(
     source: I,
     m: Procs,
@@ -321,234 +265,151 @@ where
     // generation only needs the floor of the rational timestamp).
     let tick = |t: &Ratio| -> u64 { t.floor().min(u64::MAX as u128) as u64 };
     let mut src = source.into_iter();
-    let mut heap: BinaryHeap<StreamEvent> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    let push = |heap: &mut BinaryHeap<StreamEvent>,
-                seq: &mut u64,
-                at: Ratio,
-                rank: u8,
-                done: Option<DoneInfo>| {
-        heap.push(StreamEvent {
-            at,
-            rank,
-            seq: *seq,
-            done,
-        });
-        *seq += 1;
-    };
-
-    // One look-ahead job: the next arrival's payload lives here while its
-    // event is in the heap — the heap itself stays payload-free for
-    // arrivals, and the iterator is only advanced when the event fires.
-    let mut lookahead: Option<(u64, StreamJob)> = None;
-    let mut next_index: u64 = 0;
-    let mut last_arrival: Time = 0;
-    if let Some(job) = src.next() {
-        push(
-            &mut heap,
-            &mut seq,
-            Ratio::from(job.arrival),
-            RANK_ARRIVAL,
-            None,
-        );
-        last_arrival = job.arrival;
-        lookahead = Some((0, job));
-        next_index = 1;
-    }
-
+    // One look-ahead job: the iterator is only advanced when the job
+    // before it is admitted.
+    let mut lookahead: Option<(u64, StreamJob)> = src.next().map(|job| (0, job));
     let mut pending: VecDeque<(u64, StreamJob)> = VecDeque::new();
-    let mut busy = false;
-    let mut replan_queued = false;
     let mut clock = Ratio::zero();
     let mut jobs: u64 = 0;
     let mut epochs: u64 = 0;
     let mut peak_pending: usize = 0;
     let mut fairness = RunningFairness::new();
 
-    while let Some(ev) = heap.pop() {
-        debug_assert!(ev.at >= clock, "event time went backwards");
-        clock = ev.at;
-        match ev.rank {
-            RANK_DONE => {
-                let d = ev.done.expect("completion events carry their job");
-                let obs = JobObservation {
-                    user: d.user,
-                    arrival: d.arrival,
-                    completion: clock,
-                    ideal_time: Ratio::from(d.ideal),
-                    weight: d.weight,
-                    placed: d.placed,
-                    // One batch runs at a time: its completions all rank
-                    // before the next re-plan, so this is the latest epoch.
-                    epoch: epochs - 1,
-                };
-                if let Some(fs) = &mut fairshare {
-                    // Charge the job's sequential work at completion:
-                    // future re-plans see the user's history decayed from
-                    // here.
-                    fs.charge(d.user, tick(&clock), &Ratio::from_int(d.weight));
+    loop {
+        // Admit every job that has arrived by the clock: a job arriving
+        // exactly at an epoch boundary joins the next batch.
+        while let Some((index, job)) =
+            lookahead.take_if(|(_, job)| Ratio::from(job.arrival) <= clock)
+        {
+            lookahead = match src.next() {
+                Some(next) if next.arrival < job.arrival => {
+                    return Err(SimError::UnsortedStream {
+                        index: index as usize + 1,
+                    });
                 }
-                fairness.observe(&obs);
-                sink(d.index, &obs);
+                next => next.map(|next| (index + 1, next)),
+            };
+            if let Some(fs) = &mut fairshare {
+                fs.touch(job.user);
             }
-            RANK_ARRIVAL => {
-                let (index, job) = lookahead.take().expect("arrival without look-ahead");
-                debug_assert_eq!(Ratio::from(job.arrival), clock);
-                if let Some(fs) = &mut fairshare {
-                    fs.touch(job.user);
-                }
-                pending.push_back((index, job));
-                peak_pending = peak_pending.max(pending.len());
-                jobs += 1;
-                if let Some(nj) = src.next() {
-                    if nj.arrival < last_arrival {
-                        return Err(SimError::UnsortedStream {
-                            index: next_index as usize,
-                        });
-                    }
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        Ratio::from(nj.arrival),
-                        RANK_ARRIVAL,
-                        None,
-                    );
-                    last_arrival = nj.arrival;
-                    lookahead = Some((next_index, nj));
-                    next_index += 1;
-                }
-                // An idle cluster re-plans at the arrival itself; the
-                // trigger ranks after arrivals, so every same-instant
-                // arrival joins the batch first.
-                if !busy && !replan_queued {
-                    push(&mut heap, &mut seq, clock, RANK_REPLAN, None);
-                    replan_queued = true;
-                }
-            }
-            _ => {
-                replan_queued = false;
-                busy = false;
-                if pending.is_empty() {
-                    // Idle until the next arrival (if any) queues a new
-                    // trigger — the clock jump of the epoch scheme.
-                    continue;
-                }
-                // Snapshot a bounded prefix of the pending queue and
-                // plan it as a fresh offline instance: the FIFO prefix,
-                // or — under fair-share — the highest-weight jobs (ties
-                // by arrival, so equal weights reproduce FIFO).
-                let take = opts
-                    .max_batch
-                    .map_or(pending.len(), |b| b.max(1).min(pending.len()));
-                let batch: Vec<(u64, StreamJob)> = match &fairshare {
-                    None => pending.drain(..take).collect(),
-                    Some(fs) => {
-                        let weights = fs.weights(tick(&clock));
-                        // Cache each pending job's weight once (the
-                        // selection compares O(P log P) times) and pick
-                        // the top `take` by O(P) selection rather than a
-                        // full sort — the comparator is a total order
-                        // (ties broken by the unique arrival index), so
-                        // the chosen *set* is exactly the sorted
-                        // prefix's, and the batch is rebuilt in arrival
-                        // order below anyway.
-                        let cached: Vec<f64> = pending
-                            .iter()
-                            .map(|(_, sj)| weights.get(&sj.user).copied().unwrap_or(0.0))
-                            .collect();
-                        let mut order: Vec<usize> = (0..pending.len()).collect();
-                        if take < order.len() {
-                            order.select_nth_unstable_by(take - 1, |&a, &b| {
-                                cached[b]
-                                    .total_cmp(&cached[a])
-                                    .then(pending[a].0.cmp(&pending[b].0))
-                            });
-                        }
-                        let mut chosen = vec![false; pending.len()];
-                        for &i in &order[..take] {
-                            chosen[i] = true;
-                        }
-                        // Keep the batch itself in arrival order (the
-                        // planner treats it as a set; arrival order keeps
-                        // the single-user case bit-identical to FIFO).
-                        let mut batch = Vec::with_capacity(take);
-                        let mut rest = VecDeque::with_capacity(pending.len() - take);
-                        for (i, item) in pending.drain(..).enumerate() {
-                            if chosen[i] {
-                                batch.push(item);
-                            } else {
-                                rest.push_back(item);
-                            }
-                        }
-                        pending = rest;
-                        batch
-                    }
-                };
-                let planned: Vec<Job> = batch
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, sj))| Job::new(i as JobId, sj.curve.clone()))
-                    .collect();
-                let inst = Instance::from_jobs(planned, m);
-                let view = JobView::build(&inst);
-                let mut schedule = solver.solve(&view, m).schedule;
-                if let Some(topology) = &opts.topology {
-                    // The machine is empty at every re-plan (the epoch
-                    // discipline runs batches to completion), so each
-                    // batch is lowered on its own and only the
-                    // fragmentation *trend* survives the epoch.
-                    let placement = place_with(&view, &schedule, topology, &opts.policy)
-                        .expect("planned batches lower onto the topology");
-                    if let Some(frag) = &mut fragmentation {
-                        frag.observe(&topology.fragmentation(&placement));
-                    }
-                    schedule.placement = Some(placement);
-                }
-                let ex = execute(&inst, &schedule).expect("planned batches execute");
-                // Queue one completion event per batch job, at the end of
-                // its placement row; the instance, view, and execution die
-                // at the end of this arm.
-                let mut ends: Vec<Ratio> = vec![Ratio::zero(); batch.len()];
-                for p in &ex.placement.jobs {
-                    ends[p.job as usize] = p.end;
-                }
-                // Per-local-job processor sets, when the planner placed.
-                let mut placed: Vec<Option<moldable_core::procset::ProcSet>> =
-                    vec![None; batch.len()];
-                if let Some(pl) = &schedule.placement {
-                    for p in &pl.jobs {
-                        placed[p.job as usize] = Some(p.procs.clone());
-                    }
-                }
-                for (local, (index, sj)) in batch.iter().enumerate() {
-                    let info = DoneInfo {
-                        index: *index,
-                        user: sj.user,
-                        arrival: Ratio::from(sj.arrival),
-                        ideal: sj.curve.time(m).max(1),
-                        weight: sj.curve.time(1) as u128,
-                        placed: placed[local].take(),
-                    };
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        clock.add(&ends[local]),
-                        RANK_DONE,
-                        Some(info),
-                    );
-                }
-                push(
-                    &mut heap,
-                    &mut seq,
-                    clock.add(&ex.makespan),
-                    RANK_REPLAN,
-                    None,
-                );
-                replan_queued = true;
-                busy = true;
-                epochs += 1;
-            }
+            pending.push_back((index, job));
+            jobs += 1;
         }
+        // Pending grows only between re-plans, so its high-water mark is
+        // its size here, before a batch is drawn.
+        peak_pending = peak_pending.max(pending.len());
+        if pending.is_empty() {
+            // Idle until the next arrival — the clock jump of the epoch
+            // scheme — or done.
+            match &lookahead {
+                Some((_, job)) => clock = Ratio::from(job.arrival),
+                None => break,
+            }
+            continue;
+        }
+        // Snapshot a bounded prefix of the pending queue and plan it as
+        // a fresh offline instance: the FIFO prefix, or — under
+        // fair-share — the highest-weight jobs (ties by arrival, so
+        // equal weights reproduce FIFO).
+        let take = opts
+            .max_batch
+            .map_or(pending.len(), |b| b.max(1).min(pending.len()));
+        let batch: Vec<(u64, StreamJob)> = match &fairshare {
+            None => pending.drain(..take).collect(),
+            Some(fs) => {
+                let weights = fs.weights(tick(&clock));
+                // Cache each pending job's weight once (the selection
+                // compares O(P log P) times) and pick the top `take` by
+                // O(P) selection rather than a full sort — the comparator
+                // is a total order (ties broken by the unique arrival
+                // index), so the chosen *set* is exactly the sorted
+                // prefix's, and the batch is rebuilt in arrival order
+                // below anyway.
+                let cached: Vec<f64> = pending
+                    .iter()
+                    .map(|(_, sj)| weights.get(&sj.user).copied().unwrap_or(0.0))
+                    .collect();
+                let mut order: Vec<usize> = (0..pending.len()).collect();
+                if take < order.len() {
+                    order.select_nth_unstable_by(take - 1, |&a, &b| {
+                        cached[b]
+                            .total_cmp(&cached[a])
+                            .then(pending[a].0.cmp(&pending[b].0))
+                    });
+                }
+                let mut chosen = vec![false; pending.len()];
+                for &i in &order[..take] {
+                    chosen[i] = true;
+                }
+                // Keep the batch itself in arrival order (the planner
+                // treats it as a set; arrival order keeps the
+                // single-user case bit-identical to FIFO).
+                let mut batch = Vec::with_capacity(take);
+                let mut rest = VecDeque::with_capacity(pending.len() - take);
+                for (i, item) in pending.drain(..).enumerate() {
+                    if chosen[i] {
+                        batch.push(item);
+                    } else {
+                        rest.push_back(item);
+                    }
+                }
+                pending = rest;
+                batch
+            }
+        };
+        let planned: Vec<Job> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, (_, sj))| Job::new(i as JobId, sj.curve.clone()))
+            .collect();
+        let inst = Instance::from_jobs(planned, m);
+        let view = JobView::build(&inst);
+        let mut schedule = solver.solve(&view, m).schedule;
+        if let Some(topology) = &opts.topology {
+            // The machine is empty at every re-plan (the epoch
+            // discipline runs batches to completion), so each batch is
+            // lowered on its own and only the fragmentation *trend*
+            // survives the epoch.
+            let placement = place_with(&view, &schedule, topology, &opts.policy)
+                .expect("planned batches lower onto the topology");
+            if let Some(frag) = &mut fragmentation {
+                frag.observe(&topology.fragmentation(&placement));
+            }
+            schedule.placement = Some(placement);
+        }
+        let ex = execute(&inst, &schedule).expect("planned batches execute");
+        // Per batch position, its processor set when the planner placed.
+        let mut placed: Vec<Option<ProcSet>> = vec![None; batch.len()];
+        for p in schedule.placement.into_iter().flat_map(|pl| pl.jobs) {
+            placed[p.job as usize] = Some(p.procs);
+        }
+        // Completions in (end, batch position) order. The next batch
+        // starts after this one's last completion, so the sink sees the
+        // whole run in completion-time order.
+        let mut rows = ex.placement.jobs;
+        rows.sort_by_key(|row| (row.end, row.job));
+        for row in rows {
+            let local = row.job as usize;
+            let (index, sj) = &batch[local];
+            let obs = JobObservation {
+                user: sj.user,
+                arrival: Ratio::from(sj.arrival),
+                completion: clock.add(&row.end),
+                ideal_time: Ratio::from(sj.curve.time(m).max(1)),
+                weight: sj.curve.time(1) as u128,
+                placed: placed[local].take(),
+                epoch: epochs,
+            };
+            if let Some(fs) = &mut fairshare {
+                // Charge the job's sequential work at completion: later
+                // re-plans see the user's history decayed from here.
+                fs.charge(sj.user, tick(&obs.completion), &Ratio::from_int(obs.weight));
+            }
+            fairness.observe(&obs);
+            sink(*index, &obs);
+        }
+        clock = clock.add(&ex.makespan);
+        epochs += 1;
     }
 
     Ok(StreamOutcome {

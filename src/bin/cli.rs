@@ -10,14 +10,15 @@
 //! moldable render   --input inst.json --schedule sched.json --out fig.svg
 //! ```
 //!
-//! Every command refuses an option its usage lines do not list (exit 1,
-//! `bad-request` envelope), so a misspelled option cannot silently take
-//! its default.
+//! Every command refuses an option its usage lines do not list, and a
+//! valued option given last without its value (exit 1, `bad-request`
+//! envelope), so neither can silently take its default.
 //!
 //! Instance files use the compact-descriptor format of
 //! [`moldable::core::io`]; schedules are exported/imported as JSON rows
 //! `{job, start_num, start_den, procs}`.
 
+use moldable::args::{check_options, flag};
 use moldable::core::io::InstanceSpec;
 use moldable::prelude::*;
 use moldable::sched::batch;
@@ -96,33 +97,6 @@ tenant SPEC is user[/project[/class]] (missing parts default to
 \"default\"); --quotas takes the wire-format v4 quota-set object,
 e.g. '{\"rules\": [{\"user\": \"alice\", \"max_procs\": 8}]}'.";
 
-/// Options that take no value; every other option takes the next
-/// argument as its value.
-const SWITCHES: [&str; 2] = ["--place", "--check"];
-
-/// Refuse any argument that is not one of `known` (the options the
-/// command's usage lines list) or the value of one, so a misspelled
-/// option fails instead of silently taking its default.
-fn check_options(args: &[String], known: &[&str]) -> Result<(), String> {
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if !known.contains(&arg.as_str()) {
-            return Err(format!("unknown option `{arg}`"));
-        }
-        if !SWITCHES.contains(&arg.as_str()) {
-            rest.next();
-        }
-    }
-    Ok(())
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -174,6 +148,7 @@ fn cmd_solve(args: &[String]) -> Result<(), Failure> {
             "--tenant",
             "--quotas",
         ],
+        &["--place"],
     )
     .map_err(Failure::bad_request)?;
     let (req, inst) = solve_request(args)?;
@@ -204,6 +179,7 @@ fn cmd_race(args: &[String]) -> Result<(), Failure> {
             "--tenant",
             "--quotas",
         ],
+        &["--place", "--check"],
     )
     .map_err(Failure::bad_request)?;
     let (req, inst) = solve_request(args)?;
@@ -241,7 +217,7 @@ fn cmd_race(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), String> {
-    check_options(args, &["--input"])?;
+    check_options(args, &["--input"], &[])?;
     let inst = load_instance(args)?;
     let est = estimate(&inst);
     let out = json!({
@@ -300,6 +276,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             "--model",
             "--max-jobs",
         ],
+        &[],
     )?;
     let inst = match flag(args, "--family").as_deref() {
         Some("swf") => swf_source(args)?.offline_instance(),
@@ -370,7 +347,7 @@ fn load_schedule(args: &[String]) -> Result<Schedule, String> {
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    check_options(args, &["--input", "--schedule"])?;
+    check_options(args, &["--input", "--schedule"], &[])?;
     let inst = load_instance(args)?;
     let s = load_schedule(args)?;
     validate(&s, &inst).map_err(|e| e.to_string())?;
@@ -679,6 +656,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             "--half-life",
             "--report-users",
         ],
+        &[],
     )?;
     // Streaming paths: the Lublin–Feitelson model, an SWF trace, or a
     // topology-aware replay.
@@ -713,6 +691,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     check_options(
         args,
         &["--input", "--schedule", "--out", "--width", "--height"],
+        &[],
     )?;
     let inst = load_instance(args)?;
     let s = load_schedule(args)?;

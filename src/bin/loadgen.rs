@@ -16,6 +16,7 @@
 //! the tenant tag bypasses the service's exact-bytes memo by design.
 //! Exits non-zero if every request failed.
 
+use moldable::args::{check_options, flag};
 use moldable::svc::loadgen::{run, LoadgenConfig};
 use moldable::workloads::{
     bench_instance, BenchFamily, FitModel, SwfSource, SwfTrace, SynthesisParams, WorkloadSource,
@@ -48,13 +49,6 @@ const OPTIONS: [&str; 13] = [
     "--max-jobs",
     "--tenants",
 ];
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn parse_or<T: std::str::FromStr>(
     args: &[String],
@@ -132,13 +126,7 @@ fn bodies(args: &[String]) -> Result<Vec<String>, String> {
 }
 
 fn run_cli(args: &[String]) -> Result<bool, String> {
-    if let Some(bad) = args
-        .iter()
-        .step_by(2)
-        .find(|a| !OPTIONS.contains(&a.as_str()))
-    {
-        return Err(format!("unknown option `{bad}`"));
-    }
+    check_options(args, &OPTIONS, &[])?;
     let addr_raw = flag(args, "--addr").ok_or("missing --addr HOST:PORT")?;
     let addr: SocketAddr = addr_raw
         .to_socket_addrs()

@@ -18,6 +18,7 @@
 //! `POST /v1/race`, `GET /healthz`, `GET /metrics` — see DESIGN.md's
 //! "Service front-end".
 
+use moldable::args::{check_options, flag};
 use moldable::sched::batch;
 use moldable::svc::app::parse_eps;
 use moldable::svc::{AppConfig, Server, ServerConfig};
@@ -42,21 +43,8 @@ const OPTIONS: [&str; 8] = [
     "--quotas",
 ];
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn run(args: &[String]) -> Result<(), String> {
-    if let Some(bad) = args
-        .iter()
-        .step_by(2)
-        .find(|a| !OPTIONS.contains(&a.as_str()))
-    {
-        return Err(format!("unknown option `{bad}`"));
-    }
+    check_options(args, &OPTIONS, &[])?;
     let mut config = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
         ..ServerConfig::default()

@@ -40,6 +40,9 @@ pub use moldable_workloads as workloads;
 #[doc = include_str!("../DESIGN.md")]
 pub mod design {}
 
+#[doc(hidden)]
+pub mod args;
+
 /// The most common imports in one place.
 pub mod prelude {
     pub use moldable_core::{

@@ -6,7 +6,9 @@
 //! `--shards`, instead of serving without it, and so do every `moldable`
 //! command and `moldable-loadgen`: a misspelled option fails instead of
 //! silently taking its default, while every option of the usage text is
-//! still taken. `generate` refuses to write an instance without jobs.
+//! still taken. A valued option given last, with no value after it, is
+//! refused by all three binaries too. `generate` refuses to write an
+//! instance without jobs.
 
 use moldable::sched::SOLVER_NAMES;
 use serde_json::Value;
@@ -241,4 +243,75 @@ fn generate_refuses_an_instance_without_jobs() {
     ]);
     let detail = bad_request(&out);
     assert!(detail.contains("no jobs"), "{detail}");
+}
+
+#[test]
+fn a_valued_option_given_last_without_its_value_is_refused() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["solve", "--input", "inst.json", "--algo"], "--algo"),
+        (&["race", "--input", "inst.json", "--eps"], "--eps"),
+        (&["estimate", "--input"], "--input"),
+        (
+            &[
+                "generate", "--family", "mixed", "--n", "3", "--m", "8", "--seed",
+            ],
+            "--seed",
+        ),
+        (
+            &["validate", "--input", "inst.json", "--schedule"],
+            "--schedule",
+        ),
+        (
+            &[
+                "simulate", "--model", "lublin", "--n", "50", "--m", "16", "--seed",
+            ],
+            "--seed",
+        ),
+        (
+            &[
+                "render",
+                "--input",
+                "inst.json",
+                "--schedule",
+                "s.json",
+                "--out",
+            ],
+            "--out",
+        ),
+    ];
+    for (args, option) in cases {
+        let detail = bad_request(&moldable(args));
+        assert_eq!(detail, format!("{option} needs a value"), "{args:?}");
+    }
+
+    // The loadgen refuses before it connects anywhere.
+    let out = loadgen(&["--addr", "127.0.0.1:9", "--seconds", "1", "--threads"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threads needs a value"), "{stderr}");
+
+    // The service refuses instead of starting with its default workers;
+    // one that starts anyway never exits, so it is stopped after a while.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_moldable-svc"))
+        .args(["--addr", "127.0.0.1:0", "--workers"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("the moldable-svc binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("moldable-svc started without a --workers value");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(1));
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("--workers needs a value"), "{stderr}");
 }

@@ -1,9 +1,10 @@
 //! The streaming engine must be *observationally identical* to the
 //! epoch scheme it implements: same batches, same planner calls, same
 //! completion times, same fairness. The epoch scheme lives here as a
-//! direct loop — the oracle — and `run_stream` with an unbounded
-//! `max_batch` is pinned to it across arrival patterns and solver
-//! choices, plus the fixed corpora below.
+//! direct loop — the oracle, which never calls the engine — and FIFO
+//! `run_stream` runs, unbounded or with a `max_batch` cap, are pinned to
+//! it across arrival patterns and solver choices, plus the fixed corpora
+//! below.
 
 use moldable::core::types::JobId;
 use moldable::core::view::JobView;
@@ -30,10 +31,17 @@ struct EpochRun {
 
 /// The epoch scheme as a plain loop over a sorted stream. Each batch is
 /// everything that has arrived by the clock (on an idle machine the
-/// clock first jumps to the next arrival), planned as a fresh offline
-/// instance with `solve` and run to completion with `execute` before the
-/// next batch is planned.
-fn epoch_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) -> EpochRun {
+/// clock first jumps to the next arrival), or its first `cap` jobs,
+/// planned as a fresh offline instance with `solve` and run to
+/// completion with `execute` before the next batch is planned. FIFO
+/// batches leave the pending jobs a contiguous run of the stream,
+/// `stream[first..arrived]`.
+fn epoch_oracle(
+    stream: &[StreamJob],
+    m: Procs,
+    solver: &dyn MakespanSolver,
+    cap: Option<usize>,
+) -> EpochRun {
     let mut observations: Vec<JobObservation> = stream
         .iter()
         .map(|j| JobObservation {
@@ -48,13 +56,13 @@ fn epoch_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) -> 
         .collect();
     let mut rows: Vec<EpochRow> = Vec::new();
     let mut clock = Ratio::zero();
-    let mut next = 0;
-    while next < stream.len() {
-        clock = clock.max(Ratio::from(stream[next].arrival));
-        let first = next;
-        while next < stream.len() && Ratio::from(stream[next].arrival) <= clock {
-            next += 1;
+    let (mut first, mut arrived) = (0, 0);
+    while first < stream.len() {
+        clock = clock.max(Ratio::from(stream[first].arrival));
+        while arrived < stream.len() && Ratio::from(stream[arrived].arrival) <= clock {
+            arrived += 1;
         }
+        let next = cap.map_or(arrived, |cap| arrived.min(first + cap));
         let jobs: Vec<Job> = stream[first..next]
             .iter()
             .enumerate()
@@ -78,6 +86,7 @@ fn epoch_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) -> 
             end,
         });
         clock = end;
+        first = next;
     }
     EpochRun {
         observations,
@@ -86,18 +95,26 @@ fn epoch_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) -> 
     }
 }
 
-/// Run `stream` through the unbounded engine and assert that every
-/// observation, the epoch rows folded from them, the makespan, the epoch
-/// count and the fairness report equal the oracle's.
-fn assert_engine_matches_oracle(stream: &[StreamJob], m: Procs, solver: &dyn MakespanSolver) {
-    let want = epoch_oracle(stream, m, solver);
+/// Run `stream` through the FIFO engine with batch cap `cap` and assert
+/// that every observation, the epoch rows folded from them, the makespan,
+/// the epoch count and the fairness report equal the oracle's.
+fn assert_engine_matches_oracle(
+    stream: &[StreamJob],
+    m: Procs,
+    solver: &dyn MakespanSolver,
+    cap: Option<usize>,
+) {
+    let want = epoch_oracle(stream, m, solver, cap);
     let mut got: Vec<(u64, JobObservation)> = Vec::new();
     let mut table = EpochTable::new();
     let out = run_stream(
         stream.to_vec(),
         m,
         solver,
-        &StreamOptions::default(),
+        &StreamOptions {
+            max_batch: cap,
+            ..StreamOptions::default()
+        },
         |i, o| {
             table.observe(o);
             got.push((i, o.clone()));
@@ -169,12 +186,12 @@ fn event_engine_matches_epoch_scheme_on_fixed_corpora() {
     let solver = solver_by_name("linear", &Ratio::new(1, 4)).unwrap();
     for spec in corpora {
         for m in [1u64, 2, 4] {
-            assert_engine_matches_oracle(&constant_jobs(spec, 1), m, solver.as_ref());
+            assert_engine_matches_oracle(&constant_jobs(spec, 1), m, solver.as_ref(), None);
         }
     }
     // Two users, one late burst: per-user fairness rows agree too.
     let two_users = constant_jobs(&[(0, 10), (1, 3), (1, 5), (20, 2)], 2);
-    assert_engine_matches_oracle(&two_users, 2, solver.as_ref());
+    assert_engine_matches_oracle(&two_users, 2, solver.as_ref(), None);
 }
 
 proptest! {
@@ -194,7 +211,26 @@ proptest! {
             .map(|(i, (arrival, curve))| StreamJob { curve, arrival, user: (i % 3) as i64 })
             .collect();
         let solver = solver_by_name(SOLVERS[solver_idx], &Ratio::new(1, 4)).unwrap();
-        assert_engine_matches_oracle(&stream, m, solver.as_ref());
+        assert_engine_matches_oracle(&stream, m, solver.as_ref(), None);
+    }
+
+    /// Capped FIFO engine ≡ capped epoch scheme: with at most `cap` jobs
+    /// per re-plan, every observation, epoch row, the makespan and
+    /// fairness still agree exactly for every solver.
+    #[test]
+    fn capped_engine_matches_capped_epoch_scheme(
+        spec in arrival_specs(),
+        m in 1u64..6,
+        solver_idx in 0usize..SOLVERS.len(),
+        cap in 1usize..4,
+    ) {
+        let stream: Vec<StreamJob> = curves(&spec)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (arrival, curve))| StreamJob { curve, arrival, user: (i % 3) as i64 })
+            .collect();
+        let solver = solver_by_name(SOLVERS[solver_idx], &Ratio::new(1, 4)).unwrap();
+        assert_engine_matches_oracle(&stream, m, solver.as_ref(), Some(cap));
     }
 
     /// A bounded batch cap never loses or duplicates jobs, and the
