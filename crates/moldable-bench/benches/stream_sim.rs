@@ -1,7 +1,8 @@
 //! Scaling of the streaming epoch engine on Lublin–Feitelson model
 //! streams: generator throughput alone, the whole engine at increasing
-//! job counts, fair-share against FIFO, a finer ε against the default,
-//! and the uncapped epoch discipline. The rows keep their
+//! job counts, fair-share against FIFO (on the default gap and on an
+//! overloaded stream), a finer ε against the default, and the uncapped
+//! epoch discipline. The rows keep their
 //! `stream-sim/event-engine*` names, which `benches/baseline.json` and
 //! the CI gate's bars key on.
 
@@ -64,6 +65,33 @@ fn bench_stream_sim(c: &mut Criterion) {
             })
         },
     );
+
+    // An overloaded stream (`stream-overload`'s shape without its
+    // topology): arrivals every 0.5 s on average from 64 skewed users
+    // and a cap of 256, so the pending set grows to ~20k jobs and a
+    // fair-share selection that scanned it at every epoch would show
+    // against the FIFO prefix of the same stream. The default-gap row
+    // above keeps ~6 jobs pending and cannot see that cost.
+    let mut overload = LublinParams::new(256, 20_000, 7)
+        .with_mean_interarrival(0.5)
+        .with_user_skew(3.0);
+    overload.users = 64;
+    for (name, fairshare) in [
+        ("fairshare-overload", Some(FairshareOptions::default())),
+        ("fifo-overload", None),
+    ] {
+        let capped = StreamOptions {
+            max_batch: Some(256),
+            fairshare,
+            ..StreamOptions::default()
+        };
+        group.bench_with_input(BenchmarkId::new(name, 20_000), &overload, |b, p| {
+            b.iter(|| {
+                run_stream(stream_of(p), p.m, solver.as_ref(), &capped, |_, _| {})
+                    .expect("generated streams are sorted")
+            })
+        });
+    }
 
     // The same 8000-job stream at ε = 1/16. The CI gate holds this within
     // 3x of the ε = 1/4 row relationally: a probe whose rounding cost

@@ -181,24 +181,14 @@ impl Ratio {
     /// `⌊self·v⌋`, through a widening product: exact for every `v`, no
     /// `gcd`. Panics if the result exceeds `u128`.
     pub fn floor_mul_int(&self, v: u128) -> u128 {
-        self.div_rem_mul_int(v).0
+        mul_div_rem(self.num, v, self.den).0
     }
 
     /// `⌈self·v⌉`, through a widening product like
     /// [`Ratio::floor_mul_int`]. Panics if the result exceeds `u128`.
     pub fn ceil_mul_int(&self, v: u128) -> u128 {
-        let (q, r) = self.div_rem_mul_int(v);
+        let (q, r) = mul_div_rem(self.num, v, self.den);
         q + u128::from(r != 0)
-    }
-
-    /// `self.num·v` divided by `self.den`: quotient and remainder.
-    fn div_rem_mul_int(&self, v: u128) -> (u128, u128) {
-        let (hi, lo) = wide_mul(self.num, v);
-        assert!(
-            hi < self.den,
-            "Ratio::mul_int overflow: the result exceeds u128"
-        );
-        div_256_by_128(hi, lo, self.den)
     }
 
     /// Divide by an integer. Panics if `v == 0`.
@@ -306,6 +296,20 @@ impl Ratio {
     pub fn to_f64(&self) -> f64 {
         self.num as f64 / self.den as f64
     }
+}
+
+/// `⌊a·b/d⌋` through a widening product, with no `gcd`. Panics if the
+/// quotient exceeds `u128` (in particular if `d == 0`).
+pub(crate) fn mul_div_floor(a: u128, b: u128, d: u128) -> u128 {
+    mul_div_rem(a, b, d).0
+}
+
+/// `a·b` divided by `d`: quotient and remainder. Panics like
+/// [`mul_div_floor`].
+fn mul_div_rem(a: u128, b: u128, d: u128) -> (u128, u128) {
+    let (hi, lo) = wide_mul(a, b);
+    assert!(hi < d, "mul_div overflow: the quotient exceeds u128");
+    div_256_by_128(hi, lo, d)
 }
 
 /// Long division of a 256-bit value `(hi, lo)` by a 128-bit divisor,
@@ -505,6 +509,15 @@ mod tests {
         assert_eq!((hi + u128::from(carry), sum_lo), (1, 6));
         // hi == 0 fast path
         assert_eq!(div_256_by_128(0, 100, 7), (14, 2));
+    }
+
+    #[test]
+    fn mul_div_floor_is_exact_past_u128_products() {
+        assert_eq!(mul_div_floor(7, 4, 3), 9);
+        // (2¹²⁷)·(2⁴⁸)/(2¹²⁷ + 1): the product needs 175 bits.
+        let d = (1u128 << 127) + 1;
+        assert_eq!(mul_div_floor(1 << 127, 1 << 48, d), (1 << 48) - 1);
+        assert_eq!(mul_div_floor(u128::MAX, u128::MAX, u128::MAX), u128::MAX);
     }
 
     #[test]

@@ -24,6 +24,13 @@ use moldable_core::ratio::Ratio;
 /// Why a schedule is infeasible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
+    /// An assignment names a job the instance does not have.
+    UnknownJob {
+        /// The job the assignment names.
+        job: u32,
+        /// The instance's job count (valid ids are `0..n`).
+        n: usize,
+    },
     /// A job appears zero or several times.
     WrongJobMultiplicity {
         /// The offending job.
@@ -76,6 +83,9 @@ pub struct Overcommit {
 impl std::fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ScheduleError::UnknownJob { job, n } => {
+                write!(f, "job {job} is not in the instance (jobs 0..{n})")
+            }
             ScheduleError::WrongJobMultiplicity { job, count } => {
                 write!(f, "job {job} appears {count} times")
             }
@@ -118,9 +128,9 @@ pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleErro
     for a in &schedule.assignments {
         let idx = a.job as usize;
         if idx >= inst.n() {
-            return Err(ScheduleError::WrongJobMultiplicity {
+            return Err(ScheduleError::UnknownJob {
                 job: a.job,
-                count: usize::MAX,
+                n: inst.n(),
             });
         }
         seen[idx] += 1;
@@ -354,6 +364,18 @@ mod tests {
             validate(&s, &inst),
             Err(ScheduleError::WrongJobMultiplicity { job: 0, count: 2 })
         ));
+    }
+
+    #[test]
+    fn rejects_an_unknown_job() {
+        let inst = inst2();
+        let mut s = Schedule::new();
+        s.push(0, Ratio::zero(), 1);
+        s.push(1, Ratio::zero(), 1);
+        s.push(99, Ratio::zero(), 1);
+        let err = validate(&s, &inst).unwrap_err();
+        assert_eq!(err, ScheduleError::UnknownJob { job: 99, n: 2 });
+        assert_eq!(err.to_string(), "job 99 is not in the instance (jobs 0..2)");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use moldable_core::instance::Instance;
 use moldable_core::placement::Placement;
-use moldable_core::ratio::Ratio;
+use moldable_core::ratio::{wide_mul, Ratio};
 use moldable_core::types::{JobId, Procs};
 use moldable_sched::schedule::Schedule;
 use std::collections::BTreeMap;
@@ -234,6 +234,23 @@ impl FairnessReport {
 /// `moldable_sim::metrics::RunningSum` path working.
 pub use moldable_core::metrics::RunningSum;
 
+/// The flow of `o` as `(num, den)` over the completion's reduced
+/// denominator (so already reduced), when the arrival is an integer and
+/// the ideal time a nonzero integer; `None` sends `o` down the [`Ratio`]
+/// path, which also raises its panic for a completion before its
+/// arrival.
+fn integer_flow(o: &JobObservation) -> Option<(u128, u128)> {
+    if o.arrival.den() != 1 || o.ideal_time.den() != 1 || o.ideal_time.is_zero() {
+        return None;
+    }
+    let den = o.completion.den();
+    let num = o
+        .completion
+        .num()
+        .checked_sub(o.arrival.num().checked_mul(den)?)?;
+    Some((num, den))
+}
+
 /// Per-user accumulator state of [`RunningFairness`].
 #[derive(Clone, Debug)]
 struct UserAcc {
@@ -290,7 +307,43 @@ impl RunningFairness {
     }
 
     /// Fold one completed job into the statistics.
+    ///
+    /// With an integer arrival and a nonzero integer ideal time (every
+    /// [`crate::stream`] observation) this is integer work: the flow
+    /// `(c − a·d)/d` of a completion `c/d` keeps the completion's
+    /// reduced denominator, the stretch and the weighted flow reach
+    /// [`RunningSum::push_quotient`] unreduced, and the maxima compare by
+    /// widening cross-multiplication, building a reduced [`Ratio`] only
+    /// when one moves. Any other observation, or one whose products
+    /// leave `u128`, folds through [`Ratio`] arithmetic; both paths add
+    /// the same terms.
     pub fn observe(&mut self, o: &JobObservation) {
+        let Some((flow, den)) = integer_flow(o) else {
+            return self.observe_ratios(o);
+        };
+        let Some(stretch_den) = den.checked_mul(o.ideal_time.num()) else {
+            return self.observe_ratios(o);
+        };
+        let raise = |max: &mut Ratio| {
+            if wide_mul(flow, max.den()) > wide_mul(max.num(), stretch_den) {
+                *max = Ratio::new(flow, stretch_den);
+            }
+        };
+        raise(&mut self.max_stretch);
+        self.stretch.push_quotient(flow, stretch_den);
+        let u = self.per_user.entry(o.user).or_default();
+        u.jobs += 1;
+        raise(&mut u.max_stretch);
+        u.stretch.push_quotient(flow, stretch_den);
+        match flow.checked_mul(o.weight) {
+            Some(num) => u.wf_num.push_quotient(num, den),
+            None => u.wf_num.push(&o.flow().mul_int(o.weight)),
+        }
+        u.wf_den += o.weight;
+    }
+
+    /// [`RunningFairness::observe`] through exact [`Ratio`] arithmetic.
+    fn observe_ratios(&mut self, o: &JobObservation) {
         let s = o.stretch();
         if s > self.max_stretch {
             self.max_stretch = s;
@@ -491,6 +544,178 @@ mod tests {
             assert_eq!(a.mean_stretch, b.mean_stretch);
             assert_eq!(a.weighted_flow, b.weighted_flow);
         }
+    }
+
+    /// `RunningFairness::observe` as it stood before the integer fold,
+    /// kept as the oracle: every statistic through exact `Ratio`
+    /// arithmetic and `RunningSum::push` (which `moldable_core::metrics`
+    /// pins to the old cadence-carry accumulator).
+    fn observe_reference(acc: &mut RunningFairness, o: &JobObservation) {
+        let s = o.stretch();
+        if s > acc.max_stretch {
+            acc.max_stretch = s;
+        }
+        acc.stretch.push(&s);
+        let u = acc.per_user.entry(o.user).or_default();
+        u.jobs += 1;
+        if s > u.max_stretch {
+            u.max_stretch = s;
+        }
+        u.stretch.push(&s);
+        u.wf_num.push(&o.flow().mul_int(o.weight));
+        u.wf_den += o.weight;
+    }
+
+    /// Fold `obs` through `observe` and through the oracle, requiring an
+    /// equal report after every observation.
+    fn assert_fold_matches_reference(obs: &[JobObservation]) {
+        let (mut fold, mut reference) = (RunningFairness::new(), RunningFairness::new());
+        for (i, o) in obs.iter().enumerate() {
+            fold.observe(o);
+            observe_reference(&mut reference, o);
+            assert_eq!(fold.report(), reference.report(), "observation {i}: {o:?}");
+            assert_eq!(fold.jobs(), reference.jobs());
+        }
+    }
+
+    fn observation(
+        user: i64,
+        arrival: Ratio,
+        completion: Ratio,
+        ideal: Ratio,
+        weight: u128,
+    ) -> JobObservation {
+        JobObservation {
+            user,
+            arrival,
+            completion,
+            ideal_time: ideal,
+            weight,
+            placed: None,
+            epoch: 0,
+        }
+    }
+
+    /// xorshift64: a seeded stream of test inputs.
+    fn rng(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    #[test]
+    fn integer_fold_matches_the_ratio_fold_on_stream_shaped_observations() {
+        // Integer arrivals and ideal times, completions with the small
+        // denominators epoch schedules produce (and integer ones).
+        let mut next = rng(0xFA1E_0001);
+        let obs: Vec<JobObservation> = (0..3_000)
+            .map(|_| {
+                let arrival = next() % 100_000;
+                let den = [1u128, 2, 3, 4, 6, 8, 12, 40, 1 << 20][next() as usize % 9];
+                let completion = Ratio::new(
+                    u128::from(arrival) * den + u128::from(next() % (1 << 30)),
+                    den,
+                );
+                observation(
+                    (next() % 7) as i64,
+                    Ratio::from(arrival),
+                    completion,
+                    Ratio::from(next() % 5_000 + 1),
+                    u128::from(next() % (1 << 40)),
+                )
+            })
+            .collect();
+        assert_fold_matches_reference(&obs);
+    }
+
+    #[test]
+    fn integer_fold_matches_the_ratio_fold_on_extreme_values() {
+        let mut next = rng(0xFA1E_0002);
+        let mut obs: Vec<JobObservation> = Vec::new();
+        for k in [0u32, 40, 60, 75, 76, 77, 79, 80, 100] {
+            for den in [1u128, 3, (1 << 49) + 1, (1 << 90) + 7] {
+                let Some(flow) = (1u128 << k)
+                    .checked_mul(den)
+                    .and_then(|f| f.checked_add(u128::from(next() % 97)))
+                else {
+                    continue;
+                };
+                for (ideal, weight) in [(1u128, 1u128), (3, 1 << 20), (1 << 30, 7)] {
+                    let arrival = next() % 1_000;
+                    // Products the Ratio path refuses too are left to
+                    // `fold_of_weighted_flows_past_u128_matches_the_ratio_fold`.
+                    let Some(num) = (u128::from(arrival) * den).checked_add(flow) else {
+                        continue;
+                    };
+                    if flow.checked_mul(weight).is_none() {
+                        continue;
+                    }
+                    obs.push(observation(
+                        (k % 3) as i64,
+                        Ratio::from(arrival),
+                        Ratio::new(num, den),
+                        Ratio::from_int(ideal),
+                        weight,
+                    ));
+                }
+            }
+        }
+        // Each on a fresh accumulator (a huge total would overflow the
+        // others' weighted-flow lanes), then the small ones together.
+        assert!(obs.len() > 60, "{}", obs.len());
+        for o in &obs {
+            assert_fold_matches_reference(std::slice::from_ref(o));
+        }
+        let small: Vec<JobObservation> = obs
+            .into_iter()
+            .filter(|o| o.flow() < Ratio::from_int(1 << 80) && o.weight < 1 << 40)
+            .collect();
+        assert_fold_matches_reference(&small);
+    }
+
+    #[test]
+    fn fold_of_weighted_flows_past_u128_matches_the_ratio_fold() {
+        // flow·weight leaves u128 unreduced but not after the Ratio
+        // path's gcd of the weight with the completion's denominator.
+        let den = 3u128.pow(34);
+        let o = observation(
+            4,
+            Ratio::zero(),
+            Ratio::new((1 << 75) + 2, den),
+            Ratio::from(2u64),
+            den,
+        );
+        assert!(o.flow().num().checked_mul(o.weight).is_none());
+        assert_eq!(o.flow().mul_int(o.weight), Ratio::from_int((1 << 75) + 2));
+        assert_fold_matches_reference(&[o.clone(), o]);
+    }
+
+    #[test]
+    fn non_integer_arrivals_and_ideal_times_match_the_ratio_fold() {
+        let mut next = rng(0xFA1E_0003);
+        let obs: Vec<JobObservation> = (0..500)
+            .map(|i| {
+                let arrival =
+                    Ratio::new(u128::from(next() % 10_000), u128::from(next() % 9 + 1));
+                let completion = arrival.add(&Ratio::new(u128::from(next() % 1_000_000), 7));
+                let ideal = if i % 2 == 0 {
+                    Ratio::new(u128::from(next() % 1000 + 1), 4)
+                } else {
+                    Ratio::from(next() % 1000 + 1)
+                };
+                observation(
+                    (i % 5) as i64,
+                    arrival,
+                    completion,
+                    ideal,
+                    u128::from(next() % 4096),
+                )
+            })
+            .collect();
+        assert_fold_matches_reference(&obs);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * jobs are consumed **lazily** from an iterator (one look-ahead job is
 //!   held at a time), so a generator-backed source never materializes
 //!   the stream;
-//! * each re-plan snapshots a bounded prefix of the pending queue
-//!   ([`StreamOptions::max_batch`]), plans it through any
+//! * each re-plan snapshots a bounded part of the pending set
+//!   ([`StreamOptions::max_batch`]: the FIFO prefix, or the fair-share
+//!   top jobs picked from per-user queues), plans it through any
 //!   [`MakespanSolver`] from the facade, runs it through
 //!   [`execute`], completes each job at the end of its placement row,
 //!   advances the clock by the batch's makespan, and discards the
@@ -33,7 +34,8 @@
 //! `max_batch` every re-plan takes everything that has arrived by the
 //! clock — the exact epoch discipline. `tests/stream_equivalence.rs`
 //! keeps a direct epoch loop as the oracle and pins FIFO runs, capped or
-//! not, to it completion by completion, across solvers.
+//! not, and capped fair-share runs to it completion by completion,
+//! across solvers.
 
 use crate::executor::execute;
 use crate::metrics::{FairnessReport, JobObservation, RunningFairness};
@@ -50,7 +52,8 @@ use moldable_sched::fairshare::Fairshare;
 use moldable_sched::place_with;
 use moldable_sched::solver::MakespanSolver;
 use moldable_sched::PlacementPolicy;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// One job of a streaming workload: a speedup curve, an arrival time,
 /// and the submitting user (`-1` when unknown) for fairness accounting.
@@ -268,7 +271,11 @@ where
     // One look-ahead job: the iterator is only advanced when the job
     // before it is admitted.
     let mut lookahead: Option<(u64, StreamJob)> = src.next().map(|job| (0, job));
-    let mut pending: VecDeque<(u64, StreamJob)> = VecDeque::new();
+    // Jobs arrived but not yet planned, in arrival order: one queue under
+    // FIFO, one per user under fair-share.
+    let mut fifo: VecDeque<(u64, StreamJob)> = VecDeque::new();
+    let mut by_user: BTreeMap<i64, VecDeque<(u64, StreamJob)>> = BTreeMap::new();
+    let mut pending: usize = 0;
     let mut clock = Ratio::zero();
     let mut jobs: u64 = 0;
     let mut epochs: u64 = 0;
@@ -289,16 +296,20 @@ where
                 }
                 next => next.map(|next| (index + 1, next)),
             };
-            if let Some(fs) = &mut fairshare {
-                fs.touch(job.user);
+            match &mut fairshare {
+                Some(fs) => {
+                    fs.touch(job.user);
+                    by_user.entry(job.user).or_default().push_back((index, job));
+                }
+                None => fifo.push_back((index, job)),
             }
-            pending.push_back((index, job));
+            pending += 1;
             jobs += 1;
         }
         // Pending grows only between re-plans, so its high-water mark is
         // its size here, before a batch is drawn.
-        peak_pending = peak_pending.max(pending.len());
-        if pending.is_empty() {
+        peak_pending = peak_pending.max(pending);
+        if pending == 0 {
             // Idle until the next arrival — the clock jump of the epoch
             // scheme — or done.
             match &lookahead {
@@ -307,56 +318,16 @@ where
             }
             continue;
         }
-        // Snapshot a bounded prefix of the pending queue and plan it as
-        // a fresh offline instance: the FIFO prefix, or — under
-        // fair-share — the highest-weight jobs (ties by arrival, so
-        // equal weights reproduce FIFO).
-        let take = opts
-            .max_batch
-            .map_or(pending.len(), |b| b.max(1).min(pending.len()));
+        // Snapshot a bounded part of the pending set and plan it as a
+        // fresh offline instance: the FIFO prefix, or — under fair-share
+        // — the highest-weight jobs (ties by arrival, so equal weights
+        // reproduce FIFO), in arrival order.
+        let take = opts.max_batch.map_or(pending, |b| b.max(1).min(pending));
         let batch: Vec<(u64, StreamJob)> = match &fairshare {
-            None => pending.drain(..take).collect(),
-            Some(fs) => {
-                let weights = fs.weights(tick(&clock));
-                // Cache each pending job's weight once (the selection
-                // compares O(P log P) times) and pick the top `take` by
-                // O(P) selection rather than a full sort — the comparator
-                // is a total order (ties broken by the unique arrival
-                // index), so the chosen *set* is exactly the sorted
-                // prefix's, and the batch is rebuilt in arrival order
-                // below anyway.
-                let cached: Vec<f64> = pending
-                    .iter()
-                    .map(|(_, sj)| weights.get(&sj.user).copied().unwrap_or(0.0))
-                    .collect();
-                let mut order: Vec<usize> = (0..pending.len()).collect();
-                if take < order.len() {
-                    order.select_nth_unstable_by(take - 1, |&a, &b| {
-                        cached[b]
-                            .total_cmp(&cached[a])
-                            .then(pending[a].0.cmp(&pending[b].0))
-                    });
-                }
-                let mut chosen = vec![false; pending.len()];
-                for &i in &order[..take] {
-                    chosen[i] = true;
-                }
-                // Keep the batch itself in arrival order (the planner
-                // treats it as a set; arrival order keeps the
-                // single-user case bit-identical to FIFO).
-                let mut batch = Vec::with_capacity(take);
-                let mut rest = VecDeque::with_capacity(pending.len() - take);
-                for (i, item) in pending.drain(..).enumerate() {
-                    if chosen[i] {
-                        batch.push(item);
-                    } else {
-                        rest.push_back(item);
-                    }
-                }
-                pending = rest;
-                batch
-            }
+            None => fifo.drain(..take).collect(),
+            Some(fs) => select_fair(&mut by_user, &fs.weights(tick(&clock)), take),
         };
+        pending -= take;
         let planned: Vec<Job> = batch
             .iter()
             .enumerate()
@@ -420,6 +391,56 @@ where
         fairness: fairness.report(),
         fragmentation,
     })
+}
+
+/// Take the `take` pending jobs that come first by weight (descending,
+/// [`f64::total_cmp`]) and then arrival index out of the per-user
+/// queues, returned in arrival order: the users are walked in weight
+/// order, and users of equal weight are merged by arrival index, since
+/// each queue is in arrival order already. That is the sorted prefix of
+/// the whole pending set under the same order, at
+/// `O(users·log users + take·log take)`.
+fn select_fair(
+    by_user: &mut BTreeMap<i64, VecDeque<(u64, StreamJob)>>,
+    weights: &BTreeMap<i64, f64>,
+    take: usize,
+) -> Vec<(u64, StreamJob)> {
+    let mut order: Vec<(f64, i64)> = by_user
+        .iter()
+        .filter(|(_, queue)| !queue.is_empty())
+        .map(|(&user, _)| (weights.get(&user).copied().unwrap_or(0.0), user))
+        .collect();
+    order.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut batch = Vec::with_capacity(take);
+    for group in order.chunk_by(|a, b| a.0.total_cmp(&b.0).is_eq()) {
+        if batch.len() == take {
+            break;
+        }
+        // Heads of the group's queues, earliest arrival first.
+        let mut heads: BinaryHeap<Reverse<(u64, i64)>> = group
+            .iter()
+            .map(|&(_, user)| Reverse((by_user[&user][0].0, user)))
+            .collect();
+        while batch.len() < take {
+            let Some(Reverse((_, user))) = heads.pop() else {
+                break;
+            };
+            let queue = by_user.get_mut(&user).expect("a head names its queue");
+            if heads.is_empty() {
+                // The group's last queue: the rest of the batch is its
+                // prefix.
+                let n = (take - batch.len()).min(queue.len());
+                batch.extend(queue.drain(..n));
+                break;
+            }
+            batch.push(queue.pop_front().expect("a head is a pending job"));
+            if let Some(&(index, _)) = queue.front() {
+                heads.push(Reverse((index, user)));
+            }
+        }
+    }
+    batch.sort_unstable_by_key(|&(index, _)| index);
+    batch
 }
 
 /// One planning epoch of a [`run_stream`] run, as [`EpochTable`] folds it.

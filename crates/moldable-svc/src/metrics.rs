@@ -105,7 +105,7 @@ impl ServiceMetrics {
         }
         inner.cursor = (inner.cursor + 1) % LATENCY_WINDOW;
         inner.max_seconds = inner.max_seconds.max(secs);
-        inner.busy.push(&Ratio::new(nanos, 1_000_000_000));
+        inner.busy.push_quotient(nanos, 1_000_000_000);
     }
 
     /// Total requests recorded across all endpoints.

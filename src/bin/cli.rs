@@ -329,19 +329,25 @@ fn load_schedule(args: &[String]) -> Result<Schedule, String> {
         .ok_or("schedule file must be an array or contain `assignments`")?;
     let mut s = Schedule::new();
     for row in rows {
-        let job = row["job"].as_u64().ok_or("row missing job")? as u32;
-        let num: u128 = row["start_num"]
+        let job = row["job"].as_u64().ok_or("row missing job")?;
+        let job = u32::try_from(job).map_err(|_| format!("job {job} is not a job index"))?;
+        // Starts are u64 over a positive u64, the range of every time an
+        // instance holds: a u128 start overflowed the first `Ratio` sum.
+        let num: u64 = row["start_num"]
             .as_str()
             .ok_or("row missing start_num")?
             .parse()
-            .map_err(|_| "bad start_num")?;
-        let den: u128 = row["start_den"]
+            .map_err(|_| format!("job {job}: start_num must be a u64"))?;
+        let den: u64 = row["start_den"]
             .as_str()
             .ok_or("row missing start_den")?
             .parse()
-            .map_err(|_| "bad start_den")?;
+            .map_err(|_| format!("job {job}: start_den must be a u64"))?;
+        if den == 0 {
+            return Err(format!("job {job}: start_den must be positive"));
+        }
         let procs = row["procs"].as_u64().ok_or("row missing procs")?;
-        s.push(job, Ratio::new(num, den), procs);
+        s.push(job, Ratio::new(num.into(), den.into()), procs);
     }
     Ok(s)
 }

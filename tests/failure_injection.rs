@@ -357,3 +357,83 @@ fn deeply_nested_instance_file_exits_1_with_bad_request() {
         "{envelope:?}"
     );
 }
+
+/// A schedule row the CLI cannot hold used to panic `validate`,
+/// plan-mode `simulate` and `render` (a zero `start_den`, or a
+/// `start_num` whose sums overflow `Ratio`) or be cut to another job by
+/// `as u32`. Each is now refused like any malformed file.
+#[test]
+fn malformed_schedule_rows_exit_1_with_bad_request() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed_rows");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (inst, edited, fig) = (path("inst.json"), path("edited.json"), path("fig.svg"));
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_moldable"))
+            .args(args)
+            .output()
+            .expect("the moldable binary runs")
+    };
+    let generated = run(&[
+        "generate", "--family", "mixed", "--n", "4", "--m", "8", "--seed", "1",
+    ]);
+    std::fs::write(&inst, generated.stdout).unwrap();
+    let solved = run(&["solve", "--input", &inst, "--algo", "linear"]);
+    let schedule: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&solved.stdout).unwrap()).unwrap();
+    // The rows as JSON tokens, to write back with one cell replaced.
+    const FIELDS: [&str; 4] = ["job", "start_num", "start_den", "procs"];
+    let rows: Vec<Vec<String>> = schedule["assignments"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|row| {
+            FIELDS
+                .iter()
+                .map(|f| serde_json::to_string(&row[*f]).unwrap())
+                .collect()
+        })
+        .collect();
+    let cases = [
+        ("start_den", "\"0\"", "start_den must be positive"),
+        (
+            "start_num",
+            "\"340282366920938463463374607431768211455\"",
+            "start_num must be a u64",
+        ),
+        ("job", "4294967297", "job 4294967297 is not a job index"),
+    ];
+    for (field, value, detail) in cases {
+        let body: Vec<String> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let cells: Vec<String> = FIELDS
+                    .iter()
+                    .zip(row)
+                    .map(|(f, v)| {
+                        let v = if i == 1 && *f == field { value } else { v };
+                        format!("\"{f}\": {v}")
+                    })
+                    .collect();
+                format!("{{{}}}", cells.join(", "))
+            })
+            .collect();
+        std::fs::write(&edited, format!("[{}]", body.join(", "))).unwrap();
+        let files = ["--input", inst.as_str(), "--schedule", edited.as_str()];
+        for command in [&["validate"][..], &["simulate"], &["render", "--out", &fig]] {
+            let out = run(&[&command[..1], &files[..], &command[1..]].concat());
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{field} / {command:?}: {stderr}"
+            );
+            let envelope: serde_json::Value =
+                serde_json::from_str(&stderr).expect("a typed error envelope");
+            assert_eq!(envelope["error"]["kind"].as_str(), Some("bad-request"));
+            let got = envelope["error"]["detail"].as_str().unwrap();
+            assert!(got.ends_with(detail), "{field} / {command:?}: {got}");
+        }
+    }
+}

@@ -1,15 +1,16 @@
 //! The streaming engine must be *observationally identical* to the
 //! epoch scheme it implements: same batches, same planner calls, same
 //! completion times, same fairness. The epoch scheme lives here as a
-//! direct loop — the oracle, which never calls the engine — and FIFO
-//! `run_stream` runs, unbounded or with a `max_batch` cap, are pinned to
-//! it across arrival patterns and solver choices, plus the fixed corpora
-//! below.
+//! direct loop — the oracle, which never calls the engine — and
+//! `run_stream` runs, FIFO unbounded or with a `max_batch` cap and
+//! capped multi-user fair-share, are pinned to it across arrival
+//! patterns and solver choices, plus the fixed corpora below.
 
 use moldable::core::types::JobId;
 use moldable::core::view::JobView;
 use moldable::prelude::*;
 use moldable::sched::solver::{solver_by_name, MakespanSolver};
+use moldable::sched::Fairshare;
 use moldable::sim::{
     execute, run_stream, EpochRow, EpochTable, FairnessReport, FairshareOptions,
     JobObservation, StreamJob, StreamOptions,
@@ -31,16 +32,21 @@ struct EpochRun {
 
 /// The epoch scheme as a plain loop over a sorted stream. Each batch is
 /// everything that has arrived by the clock (on an idle machine the
-/// clock first jumps to the next arrival), or its first `cap` jobs,
+/// clock first jumps to the next arrival), or `cap` of those jobs,
 /// planned as a fresh offline instance with `solve` and run to
 /// completion with `execute` before the next batch is planned. FIFO
-/// batches leave the pending jobs a contiguous run of the stream,
-/// `stream[first..arrived]`.
+/// takes the first `cap` arrivals. Fair-share (`half_life` set) orders
+/// the whole pending set by the users' [`Fairshare`] weights at the
+/// re-plan (descending, `total_cmp`), then by arrival, takes the first
+/// `cap` and plans them in arrival order; the oracle registers a user
+/// when one of its jobs arrives and charges each job's sequential work at
+/// its completion, in completion order (end, then batch position).
 fn epoch_oracle(
     stream: &[StreamJob],
     m: Procs,
     solver: &dyn MakespanSolver,
     cap: Option<usize>,
+    half_life: Option<u64>,
 ) -> EpochRun {
     let mut observations: Vec<JobObservation> = stream
         .iter()
@@ -54,39 +60,76 @@ fn epoch_oracle(
             epoch: 0,
         })
         .collect();
+    let tick = |t: &Ratio| t.floor().min(u128::from(u64::MAX)) as u64;
+    let mut fairshare: Option<Fairshare<i64>> = half_life.map(Fairshare::new);
     let mut rows: Vec<EpochRow> = Vec::new();
     let mut clock = Ratio::zero();
-    let (mut first, mut arrived) = (0, 0);
-    while first < stream.len() {
-        clock = clock.max(Ratio::from(stream[first].arrival));
+    // Stream indices arrived but not yet planned, in arrival order.
+    let mut pending: Vec<usize> = Vec::new();
+    let mut arrived = 0;
+    while arrived < stream.len() || !pending.is_empty() {
+        if pending.is_empty() {
+            clock = clock.max(Ratio::from(stream[arrived].arrival));
+        }
         while arrived < stream.len() && Ratio::from(stream[arrived].arrival) <= clock {
+            if let Some(fs) = &mut fairshare {
+                fs.touch(stream[arrived].user);
+            }
+            pending.push(arrived);
             arrived += 1;
         }
-        let next = cap.map_or(arrived, |cap| arrived.min(first + cap));
-        let jobs: Vec<Job> = stream[first..next]
+        let take = cap.map_or(pending.len(), |cap| cap.min(pending.len()));
+        let batch: Vec<usize> = match &fairshare {
+            None => pending.drain(..take).collect(),
+            Some(fs) => {
+                let weights = fs.weights(tick(&clock));
+                let mut order = pending.clone();
+                order.sort_by(|&a, &b| {
+                    weights[&stream[b].user]
+                        .total_cmp(&weights[&stream[a].user])
+                        .then(a.cmp(&b))
+                });
+                let mut batch = order[..take].to_vec();
+                batch.sort_unstable();
+                pending.retain(|i| !batch.contains(i));
+                batch
+            }
+        };
+        let jobs: Vec<Job> = batch
             .iter()
             .enumerate()
-            .map(|(i, j)| Job::new(i as JobId, j.curve.clone()))
+            .map(|(i, &j)| Job::new(i as JobId, stream[j].curve.clone()))
             .collect();
         let inst = Instance::from_jobs(jobs, m);
         let schedule = solver.solve(&JobView::build(&inst), m).schedule;
         let ex = execute(&inst, &schedule).expect("planned batches execute");
-        let batch = &mut observations[first..next];
-        batch.iter_mut().for_each(|o| o.epoch = rows.len() as u64);
-        for p in schedule.placement.iter().flat_map(|pl| &pl.jobs) {
-            batch[p.job as usize].placed = Some(p.procs.clone());
+        for &j in &batch {
+            observations[j].epoch = rows.len() as u64;
         }
-        for p in &ex.placement.jobs {
-            batch[p.job as usize].completion = clock.add(&p.end);
+        for p in schedule.placement.iter().flat_map(|pl| &pl.jobs) {
+            observations[batch[p.job as usize]].placed = Some(p.procs.clone());
+        }
+        let mut done: Vec<(Ratio, usize)> = ex
+            .placement
+            .jobs
+            .iter()
+            .map(|p| (p.end, p.job as usize))
+            .collect();
+        done.sort();
+        for (end, local) in done {
+            let o = &mut observations[batch[local]];
+            o.completion = clock.add(&end);
+            if let Some(fs) = &mut fairshare {
+                fs.charge(o.user, tick(&o.completion), &Ratio::from_int(o.weight));
+            }
         }
         let end = clock.add(&ex.makespan);
         rows.push(EpochRow {
-            jobs: (next - first) as u64,
+            jobs: batch.len() as u64,
             start: clock,
             end,
         });
         clock = end;
-        first = next;
     }
     EpochRun {
         observations,
@@ -95,16 +138,18 @@ fn epoch_oracle(
     }
 }
 
-/// Run `stream` through the FIFO engine with batch cap `cap` and assert
-/// that every observation, the epoch rows folded from them, the makespan,
-/// the epoch count and the fairness report equal the oracle's.
+/// Run `stream` through the engine with batch cap `cap` (FIFO, or
+/// fair-share with `half_life` when it is set) and assert that every
+/// observation, the epoch rows folded from them, the makespan, the epoch
+/// count and the fairness report equal the oracle's.
 fn assert_engine_matches_oracle(
     stream: &[StreamJob],
     m: Procs,
     solver: &dyn MakespanSolver,
     cap: Option<usize>,
+    half_life: Option<u64>,
 ) {
-    let want = epoch_oracle(stream, m, solver, cap);
+    let want = epoch_oracle(stream, m, solver, cap, half_life);
     let mut got: Vec<(u64, JobObservation)> = Vec::new();
     let mut table = EpochTable::new();
     let out = run_stream(
@@ -113,6 +158,7 @@ fn assert_engine_matches_oracle(
         solver,
         &StreamOptions {
             max_batch: cap,
+            fairshare: half_life.map(|half_life| FairshareOptions { half_life }),
             ..StreamOptions::default()
         },
         |i, o| {
@@ -186,12 +232,57 @@ fn event_engine_matches_epoch_scheme_on_fixed_corpora() {
     let solver = solver_by_name("linear", &Ratio::new(1, 4)).unwrap();
     for spec in corpora {
         for m in [1u64, 2, 4] {
-            assert_engine_matches_oracle(&constant_jobs(spec, 1), m, solver.as_ref(), None);
+            assert_engine_matches_oracle(
+                &constant_jobs(spec, 1),
+                m,
+                solver.as_ref(),
+                None,
+                None,
+            );
         }
     }
     // Two users, one late burst: per-user fairness rows agree too.
     let two_users = constant_jobs(&[(0, 10), (1, 3), (1, 5), (20, 2)], 2);
-    assert_engine_matches_oracle(&two_users, 2, solver.as_ref(), None);
+    assert_engine_matches_oracle(&two_users, 2, solver.as_ref(), None, None);
+}
+
+#[test]
+fn fairshare_engine_matches_epoch_scheme_on_fixed_corpora() {
+    let solver = solver_by_name("linear", &Ratio::new(1, 4)).unwrap();
+    let job = |arrival: u64, t1: u64, user: i64| StreamJob {
+        curve: SpeedupCurve::Constant(t1),
+        arrival,
+        user,
+    };
+    // Three uncharged users arrive together: every weight ties, so each
+    // capped batch is the arrival-order prefix across users.
+    let tied: Vec<StreamJob> = (0..12)
+        .map(|i| job(i / 6, 2 + i % 3, (i % 3) as i64))
+        .collect();
+    // User 0 runs first and is charged; users 1 and 2 then tie above it
+    // and are merged by arrival, and user 0 comes last.
+    let mut ranked = vec![job(0, 9, 0)];
+    ranked.extend((0..9).map(|i| job(1, 1 + i % 4, [0, 2, 1][i as usize % 3])));
+    // One user: fair-share is FIFO.
+    let single: Vec<StreamJob> = (0..10).map(|i| job(i / 3, 1 + i % 5, 4)).collect();
+    // Users charged in different generations of a short half-life.
+    let generations: Vec<StreamJob> = (0..16)
+        .map(|i| job(i * 3, 2 + i % 7, (i % 4) as i64))
+        .collect();
+    for stream in [&tied, &ranked, &single, &generations] {
+        for (m, cap) in [(1, 1), (2, 2), (4, 3), (3, 5)] {
+            for half_life in [1, 5, 86_400] {
+                assert_engine_matches_oracle(
+                    stream,
+                    m,
+                    solver.as_ref(),
+                    Some(cap),
+                    Some(half_life),
+                );
+            }
+        }
+        assert_engine_matches_oracle(stream, 2, solver.as_ref(), None, Some(10));
+    }
 }
 
 proptest! {
@@ -211,7 +302,7 @@ proptest! {
             .map(|(i, (arrival, curve))| StreamJob { curve, arrival, user: (i % 3) as i64 })
             .collect();
         let solver = solver_by_name(SOLVERS[solver_idx], &Ratio::new(1, 4)).unwrap();
-        assert_engine_matches_oracle(&stream, m, solver.as_ref(), None);
+        assert_engine_matches_oracle(&stream, m, solver.as_ref(), None, None);
     }
 
     /// Capped FIFO engine ≡ capped epoch scheme: with at most `cap` jobs
@@ -230,7 +321,28 @@ proptest! {
             .map(|(i, (arrival, curve))| StreamJob { curve, arrival, user: (i % 3) as i64 })
             .collect();
         let solver = solver_by_name(SOLVERS[solver_idx], &Ratio::new(1, 4)).unwrap();
-        assert_engine_matches_oracle(&stream, m, solver.as_ref(), Some(cap));
+        assert_engine_matches_oracle(&stream, m, solver.as_ref(), Some(cap), None);
+    }
+
+    /// Capped multi-user fair-share engine ≡ the oracle's whole-queue
+    /// selection: every observation, epoch row, the makespan and
+    /// fairness agree exactly for every solver, users and half-life.
+    #[test]
+    fn capped_fairshare_engine_matches_capped_epoch_scheme(
+        spec in arrival_specs(),
+        m in 1u64..6,
+        solver_idx in 0usize..SOLVERS.len(),
+        cap in 1usize..4,
+        users in 1usize..5,
+        half_life in 1u64..64,
+    ) {
+        let stream: Vec<StreamJob> = curves(&spec)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (arrival, curve))| StreamJob { curve, arrival, user: (i % users) as i64 })
+            .collect();
+        let solver = solver_by_name(SOLVERS[solver_idx], &Ratio::new(1, 4)).unwrap();
+        assert_engine_matches_oracle(&stream, m, solver.as_ref(), Some(cap), Some(half_life));
     }
 
     /// A bounded batch cap never loses or duplicates jobs, and the
